@@ -44,7 +44,7 @@ or an acknowledged delta basis stays internally consistent forever.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -119,12 +119,69 @@ def chunk_slices(items: Sequence[Any], chunk: Optional[int]) -> List[List[Any]]:
     return [items[i : i + chunk] for i in range(0, len(items), chunk)]
 
 
-def _evict_oldest(values: Dict[OperationId, Any], retention: Optional[int]) -> Dict[OperationId, Any]:
-    """Bound an insertion-ordered (oldest-first) value ledger in place."""
+def _evict_oldest(values: Dict[OperationId, Any], retention: Optional[int]) -> List[OperationId]:
+    """Bound an insertion-ordered (oldest-first) value ledger in place and
+    return the evicted identifiers, oldest first."""
+    evicted: List[OperationId] = []
     if retention is not None:
         while len(values) > retention:
-            del values[next(iter(values))]
-    return values
+            op_id = next(iter(values))
+            del values[op_id]
+            evicted.append(op_id)
+    return evicted
+
+
+class _ValueIndex:
+    """The retained-value ledger in digest order: parallel lists of
+    ``(client, seqno)`` keys (the :class:`OperationId` order, compared as
+    plain tuples) and the per-value digest pieces
+    ``repr((repr(op_id), canonical_repr(value)))``.
+
+    A compacted value never changes, so its piece is rendered once, when it
+    is folded; :meth:`Checkpoint.extend` carries a copy of a built index
+    forward and splices in only the folded and evicted identifiers.  The
+    digest then costs Python-level work proportional to the compaction
+    delta, not to the retained ledger."""
+
+    __slots__ = ("keys", "pieces")
+
+    def __init__(self, keys: List[Tuple[str, int]], pieces: List[str]) -> None:
+        self.keys = keys
+        self.pieces = pieces
+
+    @classmethod
+    def of(cls, values: Mapping[OperationId, Any]) -> "_ValueIndex":
+        """Build the index of a ledger from scratch (one sort)."""
+        entries = sorted(((op_id.client, op_id.seqno), op_id) for op_id in values)
+        return cls(
+            [key for key, _ in entries],
+            [_value_piece(op_id, values[op_id]) for _, op_id in entries],
+        )
+
+    def copy(self) -> "_ValueIndex":
+        return _ValueIndex(list(self.keys), list(self.pieces))
+
+    def insert(self, op_id: OperationId, value: Any) -> None:
+        key = (op_id.client, op_id.seqno)
+        position = bisect_left(self.keys, key)
+        self.keys.insert(position, key)
+        self.pieces.insert(position, _value_piece(op_id, value))
+
+    def discard(self, op_id: OperationId) -> None:
+        key = (op_id.client, op_id.seqno)
+        position = bisect_left(self.keys, key)
+        if position < len(self.keys) and self.keys[position] == key:
+            del self.keys[position]
+            del self.pieces[position]
+
+    def material(self) -> str:
+        """``repr`` of the tuple of pieces, without building the tuple."""
+        pieces = self.pieces
+        return "(" + ", ".join(pieces) + ("," if len(pieces) == 1 else "") + ")"
+
+
+def _value_piece(op_id: OperationId, value: Any) -> str:
+    return repr((repr(op_id), canonical_repr(value)))
 
 
 class OpIdSummary:
@@ -339,20 +396,27 @@ class Checkpoint:
             state, value = data_type.apply(state, operation.op)
             applications += 1
             values[operation.id] = value
-        _evict_oldest(values, value_retention)
+        evicted = _evict_oldest(values, value_retention)
         frontier = labels[prefix[-1].id] if prefix else self.frontier
-        return (
-            Checkpoint(
-                base_state=state,
-                frontier=frontier,
-                ids=self.ids.with_ids(x.id for x in prefix),
-                values=values,
-                order_digest=chain_order_digest(
-                    self.order_digest, (x.id for x in prefix)
-                ),
-            ),
-            applications,
+        checkpoint = Checkpoint(
+            base_state=state,
+            frontier=frontier,
+            ids=self.ids.with_ids(x.id for x in prefix),
+            values=values,
+            order_digest=chain_order_digest(self.order_digest, (x.id for x in prefix)),
         )
+        # Carry the value index forward only if this checkpoint has built one
+        # (it has, whenever its digest was taken); otherwise the new one
+        # stays lazy and a replica that never digests pays nothing.
+        if "_value_index" in self.__dict__:
+            index = self._value_index.copy()
+            for op_id in evicted:
+                index.discard(op_id)
+            for operation in prefix:
+                if operation.id in values:  # unless folded and evicted at once
+                    index.insert(operation.id, values[operation.id])
+            object.__setattr__(checkpoint, "_value_index", index)
+        return checkpoint, applications
 
     def merged_values(
         self, newer_values: Mapping[OperationId, Any], value_retention: Optional[int] = None
@@ -370,7 +434,8 @@ class Checkpoint:
         """
         merged = dict(self.values)
         merged.update(newer_values)
-        return _evict_oldest(merged, value_retention)
+        _evict_oldest(merged, value_retention)
+        return merged
 
     def wire_estimate(self) -> int:
         """Crude wire-size contribution (for the E8-style payload metric):
@@ -378,23 +443,31 @@ class Checkpoint:
         return 1 + self.ids.interval_count + len(self.values)
 
     @cached_property
+    def _value_index(self) -> _ValueIndex:
+        # Built on the first digest of a checkpoint assembled from parts
+        # (decode, transfer, adoption) or extended from an undigested one;
+        # :meth:`extend` seeds it when the checkpoint it extends has one.
+        return _ValueIndex.of(self.values)
+
+    @cached_property
     def _digest(self) -> str:
-        # Retained values are hashed content-and-all (sorted by id, so the
-        # digest is independent of insertion order): a transfer receiver
+        # The sha256 of ``repr((frontier, sorted(ids.ranges.items()), count,
+        # canonical_repr(base_state), retained, order_digest))``, where
+        # ``retained`` is the tuple of ``(repr(op_id), canonical_repr(value))``
+        # pairs sorted by id.  Values are hashed content-and-all (sorted, so
+        # the digest is independent of insertion order): a transfer receiver
         # recomputes this over the assembled body, so any bit of a value or
-        # of the base state flipped in flight changes the digest.
-        material = repr((
-            self.frontier,
-            sorted(self.ids.ranges.items()),
-            self.count,
-            canonical_repr(self.base_state),
-            tuple(
-                (repr(op_id), canonical_repr(self.values[op_id]))
-                for op_id in sorted(self.values)
-            ),
-            self.order_digest,
+        # of the base state flipped in flight changes the digest.  The
+        # ``retained`` part is assembled from the carried value index.
+        material = ", ".join((
+            repr(self.frontier),
+            repr(sorted(self.ids.ranges.items())),
+            repr(self.count),
+            repr(canonical_repr(self.base_state)),
+            self._value_index.material(),
+            repr(self.order_digest),
         ))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(f"({material})".encode("utf-8")).hexdigest()[:16]
 
     def digest(self) -> str:
         """A content digest identifying this exact checkpoint (frontier, id

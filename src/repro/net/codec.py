@@ -44,9 +44,11 @@ the receiver provably already holds it (see
 :func:`json_frame` is the honest plain-JSON baseline the E13 benchmark
 compares against: the same message content as tagged JSON, compactly dumped.
 
-Digest note: :meth:`repro.algorithm.checkpoint.Checkpoint.digest` (the PR 4
+Digest note: :meth:`repro.algorithm.checkpoint.Checkpoint.digest` (the
 transfer-integrity digest) is deliberately left on its original material so
-the checked-in conformance corpus stays valid; :func:`message_digest` /
+the checked-in conformance corpus stays valid; it is assembled from a value
+index that compaction carries forward, so a decoded checkpoint builds that
+index once, on its first digest.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
@@ -64,6 +66,10 @@ Hot-path notes (wire version 2):
 * :func:`decode_frame` accepts any bytes-like object and decodes through
   one ``memoryview`` — interior slices (strings, floats, raw runs) are
   views, copied only at the leaves that must own their bytes.
+* Operation descriptors are interned process-wide on their exact encoded
+  content (operator bytes, resolved id, strict flag, resolved ``prev``;
+  see ``_DESCRIPTORS``): a repeat decode returns the immutable object
+  already held, which the receiver's set merges match by identity.
 """
 
 from __future__ import annotations
@@ -583,6 +589,22 @@ def message_digest(message: Any) -> str:
 # Decoder                                                                     #
 # --------------------------------------------------------------------------- #
 
+_ATOM_TAGS = frozenset((_V_NONE, _V_INFINITY, _V_FALSE, _V_TRUE))
+
+#: Upper bound on the descriptor intern table; reaching it empties the
+#: table, which the next few frames refill with whatever is in flight.
+DESCRIPTOR_INTERN_LIMIT = 4096
+
+#: Process-wide intern table of decoded operation descriptors, keyed by
+#: their exact encoded content: operator bytes, resolved id, strict flag and
+#: resolved ``prev`` ids.  Descriptors are immutable and a key determines
+#: its descriptor, so a repeat decode — the same operation gossiped again,
+#: or relayed by another replica — returns the object already held, and the
+#: receiver's set merges take the identity fast path instead of comparing
+#: field by field.
+_DESCRIPTORS: Dict[Tuple[Any, ...], OperationDescriptor] = {}
+
+
 class _Decoder:
     def __init__(self, data, table: Sequence[str], pos: int = 0) -> None:
         self.data = data
@@ -623,6 +645,11 @@ class _Decoder:
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
+
+    def skip(self, n: int) -> None:
+        if self.pos + n > len(self.data):
+            raise FrameError("truncated bytes")
+        self.pos += n
 
     def text(self) -> str:
         """One self-contained length-prefixed utf-8 string (no table)."""
@@ -672,6 +699,38 @@ class _Decoder:
             return {self.value(): self.value() for _ in range(self.u())}
         raise FrameError(f"unknown value tag {tag}")
 
+    def skip_value(self) -> None:
+        """Step over one encoded value without building it.  Checks the
+        structure (tags, lengths, bounds) but not the leaves' contents; a
+        caller that needs the value decodes the same bytes with
+        :meth:`value`, which checks everything."""
+        tag = self.byte()
+        if tag in _ATOM_TAGS:
+            return
+        if tag == _V_INT:
+            self.u()
+        elif tag == _V_FLOAT:
+            self.skip(8)
+        elif tag == _V_STR or tag == _V_BYTES:
+            self.skip(self.u())
+        elif tag == _V_OPERATOR:
+            self.skip_value()
+            self.skip_value()
+        elif tag == _V_OPID:
+            self.skip_value()
+            self.u()
+        elif tag == _V_LABEL:
+            self.u()
+            self.skip_value()
+        elif tag == _V_TUPLE or tag == _V_SET or tag == _V_MUTSET:
+            for _ in range(self.u()):
+                self.skip_value()
+        elif tag == _V_DICT:
+            for _ in range(2 * self.u()):
+                self.skip_value()
+        else:
+            raise FrameError(f"unknown value tag {tag}")
+
     # -- domain pieces -------------------------------------------------------
 
     def op_id(self) -> OperationId:
@@ -683,11 +742,29 @@ class _Decoder:
         return Label(rank=rank, replica=self.ident())
 
     def operation(self) -> OperationDescriptor:
-        op = self.value()
-        op_id = self.op_id()
+        # Interned on the descriptor's exact content (see _DESCRIPTORS): the
+        # identifiers are resolved through this frame's table first, so the
+        # same descriptor in two frames with different tables shares a key.
+        start = self.pos
+        self.skip_value()
+        op_bytes = bytes(self.data[start : self.pos])
+        client = self.ident()
+        seqno = self.s()
         strict = bool(self.byte())
-        prev = frozenset(self.op_id() for _ in range(self.u()))
-        return OperationDescriptor(op=op, id=op_id, prev=prev, strict=strict)
+        prev = tuple((self.ident(), self.s()) for _ in range(self.u()))
+        key = (op_bytes, client, seqno, strict, prev)
+        operation = _DESCRIPTORS.get(key)
+        if operation is None:
+            operation = OperationDescriptor(
+                op=_Decoder(self.data, self.table, start).value(),
+                id=OperationId(client=client, seqno=seqno),
+                prev=frozenset(OperationId(client=c, seqno=n) for c, n in prev),
+                strict=strict,
+            )
+            if len(_DESCRIPTORS) >= DESCRIPTOR_INTERN_LIMIT:
+                _DESCRIPTORS.clear()
+            _DESCRIPTORS[key] = operation
+        return operation
 
     def summary(self) -> OpIdSummary:
         ranges: Dict[str, List[Tuple[int, int]]] = {}

@@ -183,6 +183,17 @@ class NetStats:
     )
     #: Gossip rounds skipped because a peer's send queue was full.
     gossip_skipped: int = 0
+    #: Responses dropped because their client has no connection to the
+    #: answering replica (the front end's retry recovers them).
+    responses_unrouted: int = 0
+    #: Messages of send-link batches lost because the peer could not be
+    #: dialed, and because writing the batch's frame failed.
+    link_dial_lost: int = 0
+    link_write_lost: int = 0
+    #: Client requests lost because the replica could not be reached, and
+    #: because writing the request's frame failed.
+    requests_unreachable: int = 0
+    requests_write_lost: int = 0
 
     def record_frame(
         self, batch: Sequence[Tuple[str, Any]], frame_len: int, sizes: Sequence[int]
@@ -419,12 +430,15 @@ class _SendLink:
             if self._writer is None and self._dial:
                 self._writer = await self._connect()
                 if self._writer is None:
-                    continue  # peer unreachable: the batch is lost (fault model)
+                    # Peer unreachable: the batch is lost (fault model).
+                    self._cluster.stats.link_dial_lost += len(batch)
+                    continue
             try:
                 await write_frame(self._writer, frame)
             except (ConnectionError, OSError):
+                self._cluster.stats.link_write_lost += len(batch)
                 self._drop_connection()
-                continue  # batch lost; re-dial on the next one
+                continue  # re-dial on the next batch
             self._cluster.stats.record_frame(batch, len(frame), sizes)
 
     def _drop_connection(self) -> None:
@@ -710,8 +724,10 @@ class NetCluster:
         link = node.client_out.get(message.operation.id.client)
         if link is not None:
             await link.send("response", message)
-        # No connection from that client: the response is lost, exactly like
-        # a dropped message; the front end's retry path recovers.
+        else:
+            # No connection from that client: the response is lost, exactly
+            # like a dropped message; the front end's retry path recovers.
+            self.stats.responses_unrouted += 1
 
     async def _gossip_loop(self, node: _ReplicaNode) -> None:
         loop = asyncio.get_running_loop()
@@ -779,12 +795,14 @@ class NetCluster:
         if conn is None or conn.dead:
             conn = await self._connect_client(cid, rid)
             if conn is None:
-                return  # replica unreachable: the send is lost
+                self.stats.requests_unreachable += 1  # the send is lost
+                return
         frame, sizes = encode_frame_detailed([message])
         try:
             async with conn.lock:
                 await write_frame(conn.writer, frame)
         except (ConnectionError, OSError):
+            self.stats.requests_write_lost += 1
             conn.close()
             self._client_conns[cid].pop(rid, None)
             return

@@ -35,6 +35,7 @@ from repro.algorithm.messages import (
 from repro.common import INFINITY, OperationId
 from repro.core.operations import make_operation
 from repro.datatypes.base import Operator
+from repro.net import codec
 from repro.net.codec import (
     FrameError,
     decode_frame,
@@ -386,6 +387,100 @@ class TestFrameErrors:
         frame = encode_message(RequestMessage(op()))
         with pytest.raises(FrameError):
             decode_frame(frame + b"\x00")
+
+
+class TestDescriptorInterning:
+    """Decoded descriptors are interned on their exact encoded content."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        codec._DESCRIPTORS.clear()
+        yield
+        codec._DESCRIPTORS.clear()
+
+    @staticmethod
+    def with_payload(message, mutate):
+        """Re-frame a one-message frame with its payload passed through
+        *mutate*, the length prefix adjusted to match."""
+        frame, (size,) = encode_frame_detailed([message])
+        head = frame[: -size - len(encode_varint(size)) - 1]
+        payload = mutate(frame[-size:])
+        return head + b"\x01" + encode_varint(len(payload)) + payload
+
+    def test_same_descriptor_across_frames_with_different_tables_is_shared(self):
+        x = op("c0", 7, prev=(("c1", 3),), strict=True)
+        other = op("zz", 1)
+        first = encode_frame([RequestMessage(x)])
+        second = encode_frame([RequestMessage(other), ResponseMessage(x, 5, sender="r3")])
+        # "c0" is the first table entry of one frame and not of the other.
+        assert first[5:7] == b"c0" and second[5:7] == b"zz"
+        (request,) = decode_frame(first)
+        _, response = decode_frame(second)
+        assert request.operation == x
+        assert response.operation is request.operation
+        (again,) = decode_frame(first)
+        assert again.operation is request.operation
+
+    def test_descriptors_differing_in_one_field_never_alias(self):
+        base = dict(client="c0", seqno=4, name="add", args=(1,), prev=(("c0", 3),), strict=False)
+        variants = [
+            base,
+            {**base, "strict": True},
+            {**base, "prev": ()},
+            {**base, "prev": (("c0", 2),)},
+            {**base, "args": (2,)},
+            {**base, "name": "read", "args": ()},
+            {**base, "client": "c1"},
+            {**base, "seqno": 5},
+        ]
+        originals = [op(**variant) for variant in variants]
+        decoded = []
+        for original in originals:
+            (message,) = decode_frame(encode_frame([RequestMessage(original)]))
+            assert message.operation == original
+            decoded.append(message.operation)
+        assert len({id(x) for x in decoded}) == len(decoded)
+        for original, first in zip(originals, decoded):
+            (message,) = decode_frame(encode_frame([RequestMessage(original)]))
+            assert message.operation is first
+
+    def test_table_stays_bounded_under_a_flood_of_distinct_operations(self):
+        limit = codec.DESCRIPTOR_INTERN_LIMIT
+        for batch in range(200):
+            requests = [
+                RequestMessage(op(f"c{seqno % 3}", batch * 500 + seqno))
+                for seqno in range(500)
+            ]
+            decode_frame(encode_frame(requests))
+            assert len(codec._DESCRIPTORS) <= limit
+        assert len(codec._DESCRIPTORS) > 0
+
+    def test_damage_inside_an_interned_descriptor_still_raises(self):
+        x = op("c0", 1, name="add", args=(1,), prev=(("c1", 2),))
+        message = RequestMessage(x)
+        assert self.with_payload(message, lambda p: p) == encode_message(message)
+        (decoded,) = decode_frame(encode_message(message))
+        assert decoded.operation == x
+        payload = encode_message(message)[-17:]
+        # kind tag, operator (10 bytes), client ref, seqno, strict, prev
+        # count, prev client ref, prev seqno
+        assert payload[:2] == bytes([1, 10]) and payload[4:7] == b"add"
+        for cut in range(1, len(payload)):
+            with pytest.raises(FrameError):
+                decode_frame(self.with_payload(message, lambda p: p[:cut]))
+
+        def corrupt(index, byte):
+            return lambda p: p[:index] + bytes([byte]) + p[index + 1 :]
+
+        for index, byte in (
+            (7, 99),    # the args' tuple tag, after an interned "add" prefix
+            (11, 9),    # the client reference, outside the frame's table
+            (14, 5),    # the prev count, past the end of the payload
+            (15, 40),   # the prev client reference
+        ):
+            with pytest.raises(FrameError):
+                decode_frame(self.with_payload(message, corrupt(index, byte)))
+        assert decode_frame(encode_message(message))[0].operation is decoded.operation
 
 
 # --------------------------------------------------------------------------- #

@@ -187,6 +187,93 @@ class TestBackpressure:
         assert stats.gossip_skipped > 0
 
 
+DROP_COUNTERS = (
+    "responses_unrouted",
+    "link_dial_lost",
+    "link_write_lost",
+    "requests_unreachable",
+    "requests_write_lost",
+)
+
+
+def drops(stats):
+    return {name: getattr(stats, name) for name in DROP_COUNTERS}
+
+
+async def eventually(condition, timeout=10.0):
+    """Poll *condition* until it holds; fail after *timeout* seconds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.01)
+
+
+class TestDropCounters:
+    """Every place the runtime loses a message counts it."""
+
+    def test_loss_free_run_drops_nothing(self):
+        async def run():
+            async with make_cluster() as cluster:
+                await asyncio.gather(*(
+                    cluster.submit(f"c{i % 2}", CounterType.increment()) for i in range(12)
+                ))
+                await converge_and_check(cluster)
+                return cluster.stats
+
+        stats = asyncio.run(run())
+        assert stats.messages_by_kind["gossip"] > 0
+        assert drops(stats) == dict.fromkeys(DROP_COUNTERS, 0)
+
+    def test_response_without_a_client_link_is_counted(self):
+        async def run():
+            async with make_cluster(request_retry=0.1) as cluster:
+                await cluster.submit("c0", CounterType.increment())
+                # r0 (c0's affinity replica) loses its response link to c0;
+                # the connection itself stays up, so requests still arrive.
+                cluster._nodes["r0"].client_out.pop("c0").task.cancel()
+                value = await cluster.submit("c0", CounterType.increment(), timeout=10.0)
+                return cluster.stats, value
+
+        stats, value = asyncio.run(run())
+        assert value == 2  # answered by another replica after the retry
+        assert stats.responses_unrouted > 0
+
+    def test_replica_link_write_error_and_dial_failure_are_counted(self):
+        async def run():
+            async with make_cluster() as cluster:
+                await cluster.submit("c0", CounterType.increment())
+                link = cluster._nodes["r0"].links["r1"]
+                await eventually(lambda: link._writer is not None)
+                link._writer.close()
+                await eventually(lambda: cluster.stats.link_write_lost > 0)
+                written = cluster.stats.link_write_lost
+                await cluster.crash_replica("r2", volatile_memory=False)
+                await eventually(lambda: cluster.stats.link_dial_lost > 0)
+                return written, cluster.stats
+
+        written, stats = asyncio.run(run())
+        assert written > 0
+        assert stats.link_dial_lost > 0
+
+    def test_request_write_error_and_unreachable_replica_are_counted(self):
+        async def run():
+            async with make_cluster(request_retry=0.1) as cluster:
+                await cluster.submit("c0", CounterType.increment())
+                cluster._client_conns["c0"]["r0"].writer.close()
+                await cluster.submit("c0", CounterType.increment(), timeout=10.0)
+                await eventually(lambda: cluster.stats.requests_write_lost > 0)
+                written = cluster.stats.requests_write_lost
+                await cluster.crash_replica("r1", volatile_memory=False)
+                await cluster.submit("c1", CounterType.increment(), timeout=10.0)
+                await eventually(lambda: cluster.stats.requests_unreachable > 0)
+                return written, cluster.stats
+
+        written, stats = asyncio.run(run())
+        assert written > 0
+        assert stats.requests_unreachable > 0
+
+
 class TestTcpTransport:
     def test_tcp_smoke(self):
         async def run():
