@@ -23,6 +23,7 @@ Environment knobs: ``E11_HISTORIES`` (comma-separated op counts, default
 import os
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -45,9 +46,13 @@ POLICY = CompactionPolicy(min_batch=16, value_retention=None)
 def run_history(total_ops: int, advert: bool, seed: int = 1):
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        incremental_replay=True, batch_gossip=True,
-        compaction=POLICY, compaction_interval=8.0,
-        advert_gossip=advert,
+        replica=ReplicaConfig(
+            incremental_replay=True,
+            batch_gossip=True,
+            compaction=POLICY,
+            compaction_interval=8.0,
+            advert_gossip=advert,
+        ),
     )
     cluster = SimulatedCluster(CounterType(), NUM_REPLICAS, CLIENTS,
                                params=params, seed=seed)

@@ -32,6 +32,7 @@ import gc
 import os
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.net.codec import encode_message
 from repro.net.driver import LoadSpec, run_load
@@ -53,17 +54,16 @@ MODES = ("full", "delta", "advert")
 
 
 def mode_params(mode: str) -> SimulationParams:
-    base = dict(df=1.0, dg=1.0, gossip_period=2.0, batch_gossip=True,
-                incremental_replay=True)
-    if mode == "full":
-        return SimulationParams(**base)
+    base = dict(batch_gossip=True, incremental_replay=True)
     if mode == "delta":
-        return SimulationParams(delta_gossip=True, full_state_interval=8, **base)
-    return SimulationParams(
-        delta_gossip=True, full_state_interval=8,
-        compaction=CompactionPolicy(), compaction_interval=8.0,
-        advert_gossip=True, **base,
-    )
+        base.update(delta_gossip=True, full_state_interval=8)
+    elif mode != "full":
+        base.update(
+            delta_gossip=True, full_state_interval=8,
+            compaction=CompactionPolicy(), compaction_interval=8.0,
+            advert_gossip=True,
+        )
+    return SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, replica=ReplicaConfig(**base))
 
 
 def run_mode(mode: str, num_replicas: int, total_ops: int = SIM_OPS, seed: int = 3):
@@ -163,10 +163,14 @@ def steady_gossip_bytes(total_ops: int, advert: bool, seed: int = 5) -> int:
     """Encoded size of a steady-state full-state gossip message after the
     history has quiesced and compacted (the E11 measurement, in bytes)."""
     params = SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0, batch_gossip=True,
-        incremental_replay=True,
-        compaction=CompactionPolicy(min_batch=16, value_retention=None),
-        compaction_interval=8.0, advert_gossip=advert,
+        df=1.0, dg=1.0, gossip_period=2.0,
+        replica=ReplicaConfig(
+            batch_gossip=True,
+            incremental_replay=True,
+            compaction=CompactionPolicy(min_batch=16, value_retention=None),
+            compaction_interval=8.0,
+            advert_gossip=advert,
+        ),
     )
     cluster = WireCluster(CounterType(), 3, CLIENTS, params=params, seed=seed)
     spec = WorkloadSpec(operations_per_client=total_ops // len(CLIENTS),
@@ -209,8 +213,9 @@ def test_e13b_advert_keeps_steady_state_bytes_flat():
 
 
 async def _tcp_run(fast_core: bool):
-    params = NetParams(gossip_period=0.5, delta_gossip=True,
-                       incremental_replay=True, fast_core=fast_core)
+    params = NetParams(gossip_period=0.5, replica=ReplicaConfig(
+        delta_gossip=True, incremental_replay=True, fast_core=fast_core,
+    ))
     cluster = NetCluster(CounterType(), num_replicas=4,
                          client_ids=tuple(f"c{i}" for i in range(16)),
                          params=params, transport="tcp")

@@ -17,6 +17,7 @@ import os
 import time
 
 from repro.baselines.atomic import CentralizedAtomicService
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -62,9 +63,10 @@ def run_wall_clock(fast: bool, seed: int = 3):
     PR 1 hot path (delta gossip, incremental replay, batched gossip), with
     the replica variant as the only difference."""
     params = SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0,
-        delta_gossip=True, incremental_replay=True, batch_gossip=True,
-        frontend_policy="affinity", fast_core=fast,
+        df=1.0, dg=1.0, gossip_period=2.0, frontend_policy="affinity",
+        replica=ReplicaConfig(
+            delta_gossip=True, incremental_replay=True, batch_gossip=True, fast_core=fast,
+        ),
     )
     clients = [f"c{i}" for i in range(4)]
     cluster = SimulatedCluster(CounterType(), 3, clients, params=params, seed=seed)

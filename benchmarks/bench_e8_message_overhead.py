@@ -5,11 +5,11 @@ gossip message count per unit time grows quadratically with the number of
 replicas (n*(n-1) per round), while request/response traffic grows only with
 the offered load.  The paper points out that a broadcast primitive would make
 this linear; the table quantifies the quadratic growth that motivates that
-optimization, together with the payload growth that motivates incremental
+optimization, together with the payload growth that motivates delta
 gossip.
 """
 
-from repro.algorithm.messages import incremental_gossip
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -21,7 +21,7 @@ DURATION_OPS = 20
 
 def run_replicas(num_replicas: int, seed: int = 0, delta_gossip: bool = False):
     params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                              delta_gossip=delta_gossip, full_state_interval=8)
+                              replica=ReplicaConfig(delta_gossip=delta_gossip))
     cluster = SimulatedCluster(CounterType(), num_replicas, ["c0", "c1"],
                                params=params, seed=seed)
     spec = WorkloadSpec(operations_per_client=DURATION_OPS, mean_interarrival=1.0,
@@ -119,24 +119,3 @@ def test_e8_delta_gossip_reduces_payload_at_scale():
         "delta_payload_by_replicas": {n: outcomes[n][1]["payload"] for n in counts},
         "delta_over_full_at_8": delta8["payload"] / max(full8["payload"], 1),
     })
-
-
-def test_e8_incremental_gossip_shrinks_payload():
-    """The Section 10.4 incremental-gossip optimization sends only deltas."""
-    base = run_replicas(4)
-    # Construct two successive gossip payloads and compare the full second
-    # message with its incremental form.
-    cluster = SimulatedCluster(CounterType(), 3, ["c0"],
-                               params=SimulationParams(df=1, dg=1, gossip_period=2), seed=3)
-    for _ in range(10):
-        cluster.execute("c0", CounterType.increment())
-    first = cluster.replicas["r0"].make_gossip()
-    for _ in range(2):
-        cluster.execute("c0", CounterType.increment())
-    second = cluster.replicas["r0"].make_gossip()
-    delta = incremental_gossip(first, second)
-    assert delta.size_estimate() < second.size_estimate()
-    assert delta.done <= second.done
-    print(f"\nE8b: full gossip payload {second.size_estimate()} vs incremental "
-          f"{delta.size_estimate()} (baseline per-gossip payload at 4 replicas: "
-          f"{base['payload_per_gossip']:.1f})")

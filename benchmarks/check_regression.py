@@ -23,7 +23,8 @@ Baseline schema — one file per experiment::
     }
 
 ``path`` is a dot-separated lookup into the experiment's ``metrics`` object
-(JSON object keys are strings).  Two check kinds:
+(JSON object keys are strings; a numeric part indexes a list, and a key
+containing dots matches as the last part).  Two check kinds:
 
 * hard bounds — ``max`` and/or ``min``: the metric must stay within them
   regardless of history (used for promises like "peak tracked ops stays
@@ -50,12 +51,22 @@ BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
 
 def lookup(metrics, path):
-    node = metrics
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    """The metric at dot-separated *path*: a part indexes a list by position,
+    and a key that itself contains dots (``"0.25"``, ``"commute (Fig. 11)"``)
+    matches as the whole remaining path."""
+    node, rest = metrics, path
+    while True:
+        if isinstance(node, dict) and rest in node:
+            return node[rest]
+        part, _, rest = rest.partition(".")
+        if isinstance(node, dict) and part in node:
+            node = node[part]
+        elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        else:
             return None
-        node = node[part]
-    return node
+        if not rest:
+            return node
 
 
 def evaluate(check, value):

@@ -22,6 +22,7 @@ import pstats
 import sys
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -32,10 +33,14 @@ CLIENTS = [f"c{i}" for i in range(4)]
 def profile_run(total_ops: int, fast: bool, top: int) -> str:
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        delta_gossip=True, incremental_replay=True, batch_gossip=True,
-        fast_core=fast,
-        compaction=CompactionPolicy(min_batch=32, value_retention=256),
-        compaction_interval=16.0,
+        replica=ReplicaConfig(
+            delta_gossip=True,
+            incremental_replay=True,
+            batch_gossip=True,
+            fast_core=fast,
+            compaction=CompactionPolicy(min_batch=32, value_retention=256),
+            compaction_interval=16.0,
+        ),
     )
     cluster = SimulatedCluster(CounterType(), 3, CLIENTS, params=params, seed=1)
     spec = WorkloadSpec(operations_per_client=total_ops // len(CLIENTS),

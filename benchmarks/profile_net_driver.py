@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Profile the net-runtime driver hot path and dump the cProfile top-N.
 
-Runs the E13c/E14c-style closed-loop TCP load under ``cProfile`` on the
-fast and the batch replica cores and prints the top functions by
+Runs the E13c-style closed-loop TCP load under ``cProfile`` on the
+production (fast) replica core and prints the top functions by
 cumulative time — the socket-path counterpart of
 ``profile_hotpath.py``'s simulator profile, so every CI run also leaves
 a browsable record of where the *network* wall clock went (codec encode/
@@ -25,15 +25,16 @@ import io
 import pstats
 import sys
 
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.net.driver import LoadSpec, run_load
 from repro.net.runtime import NetCluster, NetParams
 
 
-async def _drive(batch_replay: bool, ops_per_client: int):
-    params = NetParams(gossip_period=0.5, delta_gossip=True,
-                       incremental_replay=True, fast_core=True,
-                       batch_replay=batch_replay)
+async def _drive(ops_per_client: int):
+    params = NetParams(gossip_period=0.5, replica=ReplicaConfig(
+        delta_gossip=True, incremental_replay=True, fast_core=True,
+    ))
     cluster = NetCluster(CounterType(), num_replicas=4,
                          client_ids=tuple(f"c{i}" for i in range(16)),
                          params=params, transport="tcp")
@@ -44,18 +45,17 @@ async def _drive(batch_replay: bool, ops_per_client: int):
     return report
 
 
-def profile_run(ops_per_client: int, batch_replay: bool, top: int) -> str:
-    gc.collect()  # keep the previous arm's garbage out of this profile
+def profile_run(ops_per_client: int, top: int) -> str:
+    gc.collect()  # keep earlier garbage out of this profile
     profiler = cProfile.Profile()
     profiler.enable()
-    report = asyncio.run(_drive(batch_replay, ops_per_client))
+    report = asyncio.run(_drive(ops_per_client))
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-    core = "batch" if batch_replay else "fast"
     header = (
-        f"=== {core} core, 16 clients x {ops_per_client} ops over TCP loopback "
+        f"=== fast core, 16 clients x {ops_per_client} ops over TCP loopback "
         f"({report.ops_per_sec:,.0f} ops/s), top {top} by cumulative time ===\n"
     )
     return header + buffer.getvalue()
@@ -66,13 +66,11 @@ def main() -> int:
     parser.add_argument("--ops", type=int, default=100,
                         help="operations per client in the profiled load")
     parser.add_argument("--top", type=int, default=30,
-                        help="number of entries to print per core")
+                        help="number of entries to print")
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
     args = parser.parse_args()
-    report = "\n".join(
-        profile_run(args.ops, batch, args.top) for batch in (False, True)
-    )
+    report = profile_run(args.ops, args.top)
     sys.stdout.write(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

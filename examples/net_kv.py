@@ -20,6 +20,7 @@ percentiles and the *actual bytes per message kind* that crossed the wire.
 
 import asyncio
 
+from repro.config import ReplicaConfig
 from repro.datatypes.counter import CounterType
 from repro.net.driver import LoadSpec, run_load
 from repro.net.runtime import NetCluster, NetParams
@@ -73,7 +74,9 @@ async def load_demo(cluster: NetCluster) -> None:
 
 
 async def main() -> None:
-    params = NetParams(gossip_period=0.02, delta_gossip=True, fast_core=True)
+    params = NetParams(
+        gossip_period=0.02, replica=ReplicaConfig(delta_gossip=True, fast_core=True)
+    )
     cluster = NetCluster(
         KeyedStore(CounterType()),
         num_replicas=4,

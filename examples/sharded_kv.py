@@ -15,6 +15,7 @@ deployment and prints the per-shard load breakdown.
 from repro import (
     CounterType,
     KeyedWorkloadSpec,
+    ReplicaConfig,
     ShardedCluster,
     SimulationParams,
     run_keyed_workload,
@@ -47,7 +48,7 @@ def routing_demo(cluster: ShardedCluster) -> None:
 def workload_demo(seed: int = 11) -> None:
     print("=== zipfian workload on 4 shards (hot keys skew the load) ===")
     params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                              service_time=0.2, batch_gossip=True)
+                              service_time=0.2, replica=ReplicaConfig(batch_gossip=True))
     cluster = ShardedCluster(
         CounterType(), num_shards=4, replicas_per_shard=3,
         client_ids=[f"frontend-{i}" for i in range(4)], params=params, seed=seed,

@@ -24,11 +24,9 @@ Modules:
 * :mod:`repro.algorithm.checkpoint` — stability-driven checkpoint compaction
   (the agreed stable prefix of Invariant 7.2 / Theorem 5.8 collapsed into a
   base state, bounding replica memory by the unstable suffix);
-* :mod:`repro.algorithm.fastcore` / :mod:`repro.algorithm.batchcore` — the
-  raw-speed replica variants: interned/bitset mirrors, and the
-  struct-of-arrays batch replay kernel layered on them (with
-  :mod:`repro.algorithm.batchops` providing the numpy-optional bulk array
-  primitives);
+* :mod:`repro.algorithm.fastcore` — the production replica core:
+  interned op-id slots, packed label keys and bitset knowledge mirrors,
+  execution-identical to the reference replica;
 * :mod:`repro.algorithm.memoized` — the memoizing replica ESDS-Alg'
   (Section 10.1);
 * :mod:`repro.algorithm.commute` — the ``Commute`` replica exploiting
@@ -57,8 +55,7 @@ from repro.algorithm.messages import (
 )
 from repro.algorithm.channel import Channel, LossyChannel
 from repro.algorithm.frontend import FrontEndCore
-from repro.algorithm.batchcore import BatchIncrementalReplicaCore, BatchReplicaCore
-from repro.algorithm.fastcore import FastIncrementalReplicaCore, FastReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.commute import CommuteReplicaCore
@@ -88,9 +85,6 @@ __all__ = [
     "ReplicaCore",
     "IncrementalReplicaCore",
     "FastReplicaCore",
-    "FastIncrementalReplicaCore",
-    "BatchReplicaCore",
-    "BatchIncrementalReplicaCore",
     "MemoizedReplicaCore",
     "CommuteReplicaCore",
     "AlgorithmSystem",

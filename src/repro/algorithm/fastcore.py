@@ -64,7 +64,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.algorithm.labels import Label, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage
 from repro.algorithm.replica import ReplicaCore
-from repro.common import INFINITY, OperationId, SpecificationError
+from repro.common import OperationId, SpecificationError
 
 #: Sort key of "no label yet": after every finite packed label key.
 _INFINITE_KEY = float("inf")
@@ -416,7 +416,6 @@ class FastReplicaCore(ReplicaCore):
         done_before = len(done_me)
         bits_for = self._bits_for
 
-        new_undone: Any = ()
         new_rcvd = received - self.rcvd
         if new_rcvd:
             self.rcvd |= new_rcvd
@@ -435,8 +434,7 @@ class FastReplicaCore(ReplicaCore):
             self._done_bits[me] |= bits_for(new_done_me)
             self._undone -= new_done_me
         if new_rcvd:
-            new_undone = new_rcvd - done_me
-            self._undone |= new_undone
+            self._undone |= new_rcvd - done_me
 
         for replica in self.replica_ids:
             if replica == me or replica == sender:
@@ -502,7 +500,8 @@ class FastReplicaCore(ReplicaCore):
         # sorted order in place and truncate the replay cache at the first
         # affected position.  Label lowerings of *undone* operations do not
         # move anything in the order and need no bookkeeping at all.
-        self._note_gossip_merge(reorders, new_done_me, new_undone)
+        if (reorders or new_done_me) and not self._order_dirty:
+            self._apply_order_changes(reorders, new_done_me)
 
         stable_sender = self.stable[sender]
         new_stable_sender = stable - stable_sender
@@ -531,16 +530,7 @@ class FastReplicaCore(ReplicaCore):
         self.stats.gossip_received += 1
         self._post_merge()
 
-    def _note_gossip_merge(self, reorders, new_done_me, new_undone) -> None:
-        """Hook: one gossip merge's order-affecting changes, called once per
-        ``receive_gossip`` after the label merge.  *new_undone* are the
-        operations that just entered ``rcvd`` without being done here (the
-        batch kernel keeps its ready-queue on them); the default applies the
-        order splices immediately."""
-        if (reorders or new_done_me) and not self._order_dirty:
-            self._apply_order_changes(reorders, new_done_me)
-
-    def _apply_order_changes(self, reorders, new_done_me) -> Optional[int]:
+    def _apply_order_changes(self, reorders, new_done_me) -> None:
         """Splice a gossip merge's order changes into the sorted done order.
 
         *reorders* are ``(old_label, op_id)`` pairs for already-done
@@ -553,10 +543,6 @@ class FastReplicaCore(ReplicaCore):
         and the epoch-tagged fast path in ``_compute_value_incremental``
         stays valid (stale ``_replay_values`` entries beyond the truncation
         point are always overwritten by the tail replay before being read).
-
-        Returns the first (lowest) order position touched, or ``None`` when
-        the splice bailed out to a full re-sort (``_order_dirty``) — the
-        batch kernel clamps its verified-solid-prefix marker with it.
         """
         keys = self._order_keys
         cache = self._order_cache
@@ -572,7 +558,7 @@ class FastReplicaCore(ReplicaCore):
                 # fall back to a full re-sort; the epoch bump re-validates
                 # the replay cache through the base prefix comparison.
                 self._order_dirty = True
-                return None
+                return
             x = cache.pop(pos)
             del keys[pos]
             if pos < min_pos:
@@ -590,7 +576,7 @@ class FastReplicaCore(ReplicaCore):
                 # Done without a label (gossip never produces this): the
                 # sorted backbone cannot place it; re-sort instead.
                 self._order_dirty = True
-                return None
+                return
             new_key = label.rank * stride + index[label.replica]
             pos = bisect_left(keys, new_key)
             keys.insert(pos, new_key)
@@ -600,7 +586,6 @@ class FastReplicaCore(ReplicaCore):
         if min_pos < len(self._replay_order):
             del self._replay_order[min_pos:]
             del self._replay_states[min_pos:]
-        return min_pos
 
     def _promote_stable(self) -> None:
         # Direct calls (the fast receive_gossip promotes inline): keep the
@@ -741,12 +726,3 @@ class FastReplicaCore(ReplicaCore):
         self._absorbed_frontier = None
         self._repr_cache = {}
         self._rebuild_fast_state()
-
-
-class FastIncrementalReplicaCore(FastReplicaCore):
-    """The fast core with the incremental value-replay cache switched on —
-    the pairing every fast-path benchmark configuration uses."""
-
-    def __init__(self, replica_id, replica_ids, data_type) -> None:
-        super().__init__(replica_id, replica_ids, data_type)
-        self.enable_incremental_replay()

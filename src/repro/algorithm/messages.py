@@ -336,34 +336,3 @@ def checkpoint_transfers(
         )
         for index, values in enumerate(slices)
     ]
-
-
-def incremental_gossip(previous: GossipMessage, current: GossipMessage) -> GossipMessage:
-    """The textbook form of the Section 10.4 optimization: send only what
-    changed since the last gossip to the same destination (valid over
-    reliable FIFO channels).
-
-    The receiver must union rather than replace, which
-    :meth:`repro.algorithm.replica.ReplicaCore.receive_gossip` already does,
-    so incremental messages are drop-in compatible.  With compaction, an
-    operation folded between the two messages leaves *current*'s sets
-    entirely; its stability travels via the carried-over checkpoint instead
-    of a set difference.  The production path in
-    :meth:`repro.algorithm.replica.ReplicaCore.make_gossip` instead computes
-    deltas against *acknowledged* state (see :mod:`repro.algorithm.delta`),
-    which stays correct over the paper's reorderable, lossy channels.
-    """
-    return GossipMessage(
-        sender=current.sender,
-        received=current.received - previous.received,
-        done=current.done - previous.done,
-        labels={
-            op_id: label
-            for op_id, label in current.labels.items()
-            if previous.labels.get(op_id) != label
-        },
-        stable=current.stable - previous.stable,
-        is_delta=True,
-        checkpoint=current.checkpoint,
-        advert=current.advert,
-    )

@@ -886,9 +886,8 @@ state_independent`: its tracked history has a hole below the awaited
         wakeup (the simulator's ``batch_gossip`` coalescing and the net
         runtime's per-frame delivery both produce these).
 
-        The default is the sequential per-message merge, so every variant
-        accepts batches; :class:`~repro.algorithm.batchcore.BatchReplicaCore`
-        overrides it to defer the order splices across the whole batch."""
+        Every variant merges a batch sequentially, message by message; the
+        callers run the post-merge sweep once per batch."""
         for message in messages:
             self.receive_gossip(message)
 

@@ -27,14 +27,13 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.channel import Channel
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
+from repro.algorithm.checkpoint import CompactionLedger
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.labels import Label, LabelOrInfinity, label_min, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
-from repro.algorithm.batchcore import core_factory
 from repro.algorithm.replica import ReplicaCore
 from repro.common import INFINITY, ConfigurationError, OperationId, SpecificationError
-from repro.config import UNSET, ReplicaConfig, merge_legacy_config
+from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor, client_specified_constraints
 from repro.core.orders import PartialOrder, induced_order, transitive_closure
 from repro.datatypes.base import SerialDataType
@@ -58,43 +57,38 @@ class AlgorithmSystem:
     client_ids:
         Identifiers of the clients (one front end each).
     replica_factory:
-        Optional factory to construct replica cores; defaults to
-        :class:`~repro.algorithm.replica.ReplicaCore`.
+        Optional factory to construct replica cores; defaults to the class
+        ``config`` selects (:meth:`~repro.config.ReplicaConfig.core_class`).
     users:
         Optional pre-built :class:`~repro.spec.users.Users` automaton (e.g. a
         ``SafeUsers`` when using the ``Commute`` replicas).
-    delta_gossip:
-        When true, ``send_gossip`` transmits destination-specific deltas
-        (only knowledge the destination has not acknowledged) instead of the
-        replica's full state; see :mod:`repro.algorithm.delta`.  Delta and
-        full gossip induce identical executions under the same scheduler.
-    full_state_interval:
-        Periodic full-state fallback when delta gossip is enabled: every
-        that-many sends to a peer carry the full state.
-    incremental_replay:
-        When true, replicas cache their last response replay and re-apply
-        only the changed suffix when computing values (observable values are
-        unchanged; only ``stats.value_applications`` drops).
-    compaction:
-        When given, every replica folds its stable-everywhere prefix into a
-        checkpoint under this :class:`CompactionPolicy` and drops the
-        per-operation records (see :mod:`repro.algorithm.checkpoint`).
-        Responses are unchanged; tracked state becomes proportional to the
-        unstable suffix.  The system keeps the agreed compacted prefix in a
-        :class:`CompactionLedger` so eventual-order witnesses and invariant
-        checks still see the full history.
-    advert_gossip:
-        When true, gossip carries a compact checkpoint *advert* (frontier,
-        digest, id-interval summary) instead of the checkpoint body; a
-        replica behind the advertised frontier issues a pull request and the
-        advertiser answers with checkpoint-transfer chunks.  Pull and
-        transfer messages travel on the gossip channels and are dispatched
-        by :meth:`receive_gossip`.  Steady-state payload becomes independent
-        of the history length; executions stay response-identical to eager
-        shipping.
-    checkpoint_chunk:
-        With advert gossip, the maximum number of retained values per
-        transfer chunk (``None`` = one message per transfer).
+    config:
+        The replica features (:class:`~repro.config.ReplicaConfig`; the
+        defaults when omitted).  Everything is threaded into each replica
+        core; what each feature does here:
+
+        * ``delta_gossip`` — ``send_gossip`` transmits destination-specific
+          deltas (only knowledge the destination has not acknowledged)
+          instead of the replica's full state, with a full-state fallback
+          every ``full_state_interval`` sends; see
+          :mod:`repro.algorithm.delta`.  Delta and full gossip induce
+          identical executions under the same scheduler.
+        * ``incremental_replay`` — replicas cache their last response replay
+          and re-apply only the changed suffix (observable values are
+          unchanged; only ``stats.value_applications`` drops).
+        * ``compaction`` — every replica folds its stable-everywhere prefix
+          into a checkpoint and drops the per-operation records (see
+          :mod:`repro.algorithm.checkpoint`).  The system keeps the agreed
+          compacted prefix in a :class:`CompactionLedger` so eventual-order
+          witnesses and invariant checks still see the full history.  Only
+          a single policy is accepted here; per-shard mappings belong to
+          the sharded entry points.
+        * ``advert_gossip`` — gossip carries a compact checkpoint *advert*
+          instead of the checkpoint body; a replica behind the advertised
+          frontier issues a pull request and the advertiser answers with
+          checkpoint-transfer chunks of at most ``checkpoint_chunk`` values.
+          Pull and transfer messages travel on the gossip channels and are
+          dispatched by :meth:`receive_gossip`.
     """
 
     def __init__(
@@ -104,40 +98,19 @@ class AlgorithmSystem:
         client_ids: Sequence[str],
         replica_factory: Optional[ReplicaFactory] = None,
         users: Optional[Users] = None,
-        delta_gossip: bool = UNSET,
-        full_state_interval: int = UNSET,
-        incremental_replay: bool = UNSET,
-        compaction: Optional[CompactionPolicy] = UNSET,
-        advert_gossip: bool = UNSET,
-        checkpoint_chunk: Optional[int] = UNSET,
-        fast_core: bool = UNSET,
-        batch_replay: bool = UNSET,
         config: Optional[ReplicaConfig] = None,
     ) -> None:
         if len(set(replica_ids)) < 2:
             raise ConfigurationError("the algorithm assumes at least two replicas")
         if not client_ids:
             raise ConfigurationError("at least one client is required")
-        self.config = merge_legacy_config(
-            config,
-            dict(
-                delta_gossip=delta_gossip,
-                full_state_interval=full_state_interval,
-                incremental_replay=incremental_replay,
-                compaction=compaction,
-                advert_gossip=advert_gossip,
-                checkpoint_chunk=checkpoint_chunk,
-                fast_core=fast_core,
-                batch_replay=batch_replay,
-            ),
-            "AlgorithmSystem",
-        )
+        self.config = config if config is not None else ReplicaConfig()
         self.config.require_single_policy("AlgorithmSystem")
         self.data_type = data_type
         self.replica_ids: Tuple[str, ...] = tuple(replica_ids)
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
 
-        factory = replica_factory or core_factory(self.config)
+        factory = replica_factory or self.config.core_class()
         self.users = users if users is not None else Users()
         self.frontends: Dict[str, FrontEndCore] = {
             c: FrontEndCore(c, self.replica_ids) for c in self.client_ids

@@ -5,12 +5,11 @@ Every deployment harness — :class:`~repro.algorithm.system.AlgorithmSystem`,
 :class:`~repro.sim.cluster.SimulatedCluster`),
 :class:`~repro.service.frontend.ShardedFrontend`,
 :class:`~repro.sim.sharded.ShardedCluster` and
-:class:`~repro.net.runtime.NetCluster` — switches the same replica-level
-features: the fast core, delta gossip, incremental replay, checkpoint
-compaction, advert/pull gossip.  Historically each entry point re-declared
-them as loose keyword arguments; :class:`ReplicaConfig` is the one shared
-dataclass they all accept (``config=...``), with the loose kwargs kept as a
-deprecation shim (:func:`merge_legacy_config`).
+:class:`~repro.net.runtime.NetParams` / :class:`~repro.net.runtime.NetCluster`
+— switches the same replica-level features: the fast core, delta gossip,
+incremental replay, checkpoint compaction, advert/pull gossip.
+:class:`ReplicaConfig` is the one place they are declared; every entry point
+takes it as ``config=`` (the parameter dataclasses as ``replica=``).
 
 Two of the fields only mean something under the discrete-event simulator
 (``batch_gossip``, ``compaction_interval``); the algorithm-level entry
@@ -21,16 +20,13 @@ entry points; the single-system entry points require a plain policy.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, Union
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.fastcore import FastReplicaCore
+from repro.algorithm.replica import ReplicaCore
 from repro.common import ConfigurationError
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default — the
-#: deprecation shims need the distinction to warn only on real legacy usage.
-UNSET: Any = object()
 
 #: Compaction configuration: one policy everywhere, or (sharded entry points
 #: only) a mapping from shard id to policy.
@@ -47,13 +43,11 @@ class ReplicaConfig:
     harnesses and shards.
     """
 
-    #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore` as the replica
-    #: variant (ignored when an explicit ``replica_factory`` is supplied).
+    #: Use the production core,
+    #: :class:`~repro.algorithm.fastcore.FastReplicaCore`, instead of the
+    #: reference Fig. 7 :class:`~repro.algorithm.replica.ReplicaCore`
+    #: (ignored when an explicit ``replica_factory`` is supplied).
     fast_core: bool = False
-    #: Use :class:`~repro.algorithm.batchcore.BatchReplicaCore` — the
-    #: struct-of-arrays batch replay kernel layered on the fast core.
-    #: Requires ``fast_core=True`` (the kernel extends the fast mirrors).
-    batch_replay: bool = False
     #: Destination-specific delta gossip instead of full-state payloads.
     delta_gossip: bool = False
     #: With delta gossip, the periodic full-state fallback interval.
@@ -67,17 +61,14 @@ class ReplicaConfig:
     advert_gossip: bool = False
     #: With advert gossip, retained values per transfer chunk (``None`` = 1 msg).
     checkpoint_chunk: Optional[int] = None
-    #: Simulator-only: coalesce same-instant gossip arrivals per replica.
+    #: Simulator-only: coalesce same-instant gossip arrivals per replica and
+    #: run the post-merge sweep (``do_it``, responses) once per instant.
     batch_gossip: bool = False
-    #: Simulator-only: force a compaction sweep at this simulated interval.
+    #: Simulator-only: also force a compaction sweep at this simulated
+    #: interval, ignoring the policy's ``min_batch`` gate.
     compaction_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.batch_replay and not self.fast_core:
-            raise ConfigurationError(
-                "batch_replay=True requires fast_core=True: the batch kernel "
-                "extends the fast core's interned mirrors"
-            )
         if self.full_state_interval < 1:
             raise ConfigurationError("full_state_interval must be at least 1")
         if self.checkpoint_chunk is not None and self.checkpoint_chunk < 1:
@@ -90,15 +81,14 @@ class ReplicaConfig:
 
     # -- harness adapters ------------------------------------------------------
 
-    def require_single_policy(self, owner: str) -> Optional[CompactionPolicy]:
-        """The compaction policy for a single-system harness (rejects the
-        per-shard mapping form, which only sharded entry points resolve)."""
+    def require_single_policy(self, owner: str) -> None:
+        """Reject the per-shard compaction mapping at a single-group harness
+        (*owner*); only the sharded entry points resolve it."""
         if isinstance(self.compaction, Mapping):
             raise ConfigurationError(
                 f"{owner} manages one replica group; per-shard compaction "
                 "mappings only apply to the sharded entry points"
             )
-        return self.compaction
 
     def for_shard(self, shard: str) -> "ReplicaConfig":
         """This config with the per-shard compaction mapping resolved for
@@ -109,13 +99,12 @@ class ReplicaConfig:
             return self
         policy = self.compaction.get(shard)
         interval = self.compaction_interval if policy is not None else None
-        return ReplicaConfig(
-            **{
-                **self.as_dict(),
-                "compaction": policy,
-                "compaction_interval": interval,
-            }
-        )
+        return replace(self, compaction=policy, compaction_interval=interval)
+
+    def core_class(self) -> type:
+        """The replica-core class this config selects: the production fast
+        core, or the reference replica."""
+        return FastReplicaCore if self.fast_core else ReplicaCore
 
     def configure_core(self, core) -> None:
         """Apply the feature switches to one replica core (the compaction
@@ -129,54 +118,3 @@ class ReplicaConfig:
         if self.advert_gossip:
             core.configure_advert_gossip(True, self.checkpoint_chunk)
 
-    def as_dict(self) -> Dict[str, Any]:
-        """All fields as a plain dict (e.g. for SimulationParams overlay)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Field names a legacy shim may collect (subset per entry point).
-LEGACY_FIELD_NAMES = tuple(f.name for f in fields(ReplicaConfig))
-
-#: Entry points that already emitted their deprecation warning this process.
-#: A workload constructing thousands of clusters through a legacy call site
-#: (the fuzzer, the benchmarks) should nag once, not thousands of times.
-_WARNED_OWNERS: set = set()
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which call sites already warned (test isolation)."""
-    _WARNED_OWNERS.clear()
-
-
-def merge_legacy_config(
-    config: Optional[ReplicaConfig],
-    legacy: Dict[str, Any],
-    owner: str,
-    stacklevel: int = 3,
-) -> ReplicaConfig:
-    """Resolve ``config=`` against the deprecated loose kwargs.
-
-    *legacy* maps field names to the received kwarg values, with
-    :data:`UNSET` marking "not passed".  Passing both a config and an
-    explicit legacy kwarg is rejected (silently preferring one would hide a
-    conflicting intent); passing only legacy kwargs warns once per entry
-    point per process (:func:`reset_legacy_warnings` clears the registry)
-    and builds the equivalent :class:`ReplicaConfig`.
-    """
-    provided = {name: value for name, value in legacy.items() if value is not UNSET}
-    if config is not None:
-        if provided:
-            raise ConfigurationError(
-                f"{owner}: pass replica features via config=ReplicaConfig(...) "
-                f"or the legacy kwargs ({', '.join(sorted(provided))}), not both"
-            )
-        return config
-    if provided and owner not in _WARNED_OWNERS:
-        _WARNED_OWNERS.add(owner)
-        warnings.warn(
-            f"{owner}: the loose feature kwargs ({', '.join(sorted(provided))}) are "
-            "deprecated; pass config=ReplicaConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return ReplicaConfig(**provided)

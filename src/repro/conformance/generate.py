@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.conformance.codec import dumps_vector, seal
 from repro.conformance.scenario import (
     DATA_TYPE_NAMES,
@@ -68,10 +69,12 @@ def random_params(rng: random.Random, delta_gossip: bool) -> SimulationParams:
         request_fanout=rng.choice([1, 2]),
         frontend_policy=rng.choice(["affinity", "round_robin", "random"]),
         retransmit_interval=4.0,  # masks loss and crash windows
-        delta_gossip=delta_gossip,
-        full_state_interval=rng.choice([4, 8]),
-        incremental_replay=rng.random() < 0.5,
-        batch_gossip=rng.random() < 0.5,
+        replica=ReplicaConfig(
+            delta_gossip=delta_gossip,
+            full_state_interval=rng.choice([4, 8]),
+            incremental_replay=rng.random() < 0.5,
+            batch_gossip=rng.random() < 0.5,
+        ),
     )
 
 
@@ -177,16 +180,18 @@ def _sim_spec(
     rng = _mode_rng(mode, seed)
     data_type = rng.choice(DATA_TYPE_NAMES)
     params = random_params(rng, delta_gossip)
+    replica = params.replica
     if compaction:
-        params = dataclasses.replace(
-            params, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
+        replica = dataclasses.replace(
+            replica, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
         )
     if advert:
-        params = dataclasses.replace(
-            params,
+        replica = dataclasses.replace(
+            replica,
             advert_gossip=True,
             checkpoint_chunk=rng.choice([2, 5]) if chunked else None,
         )
+    params = dataclasses.replace(params, replica=replica)
     num_replicas = rng.randint(2, 4)
     clients = tuple(f"c{i}" for i in range(rng.randint(1, 3)))
     workload = random_workload_fields(rng)
@@ -253,12 +258,14 @@ def _adversarial_spec(mode: str, seed: int) -> ScenarioSpec:
         request_fanout=1,
         frontend_policy="round_robin",
         retransmit_interval=4.0,
-        delta_gossip=False,  # full-state gossip re-advertises every tick
-        batch_gossip=rng.random() < 0.5,
-        compaction=CompactionPolicy(min_batch=1),
-        compaction_interval=1.0,
-        advert_gossip=True,
-        checkpoint_chunk=rng.choice([None, 2]),
+        replica=ReplicaConfig(
+            delta_gossip=False,  # full-state gossip re-advertises every tick
+            batch_gossip=rng.random() < 0.5,
+            compaction=CompactionPolicy(min_batch=1),
+            compaction_interval=1.0,
+            advert_gossip=True,
+            checkpoint_chunk=rng.choice([None, 2]),
+        ),
     )
     num_replicas = rng.randint(3, 4)
     clients = tuple(f"c{i}" for i in range(2))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes.base import Operator
 from repro.net.runtime import NetCluster, NetParams, OperationFailed
 from repro.sim.workload import CLIENT_SEED_STRIDE, zipfian_cdf
@@ -222,13 +223,11 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
     from repro.datatypes.counter import CounterType
     from repro.service.keyed import KeyedStore
 
-    params = NetParams(
-        gossip_period=args.gossip_period,
+    config = ReplicaConfig(
         delta_gossip=args.gossip in ("delta", "advert"),
         advert_gossip=args.gossip == "advert",
         compaction=CompactionPolicy() if args.gossip == "advert" else None,
-        fast_core=args.fast_core or args.batch_core,
-        batch_replay=args.batch_core,
+        fast_core=args.fast_core,
         incremental_replay=True,
     )
     data_type: Any = KeyedStore(CounterType()) if args.keys else CounterType()
@@ -236,8 +235,9 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
         data_type,
         num_replicas=args.replicas,
         client_ids=tuple(f"c{i}" for i in range(args.clients)),
-        params=params,
+        params=NetParams(gossip_period=args.gossip_period),
         transport=args.transport,
+        config=config,
     )
 
 
@@ -273,8 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--keys", type=int, default=0,
                         help="zipfian keyed access over this many keys (0 = flat counter)")
     parser.add_argument("--fast-core", action="store_true")
-    parser.add_argument("--batch-core", action="store_true",
-                        help="struct-of-arrays batch replay kernel (implies --fast-core)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     report = asyncio.run(_main_async(args))

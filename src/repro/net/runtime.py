@@ -51,12 +51,11 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
+from repro.algorithm.checkpoint import CompactionLedger
 from repro.config import ReplicaConfig
-from repro.algorithm.batchcore import core_factory
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.messages import ResponseMessage
 from repro.algorithm.replica import ReplicaCore
@@ -83,31 +82,12 @@ class OperationFailed(EsdsError):
 
 @dataclass
 class NetParams:
-    """Policy knobs of a network deployment.  The gossip-mode flags mirror
-    :class:`~repro.sim.cluster.SimulationParams` (same core configuration
-    calls); the transport knobs are runtime-specific."""
+    """Policy knobs of a network deployment: the replica features (one
+    :class:`~repro.config.ReplicaConfig`, configured on the cores exactly
+    as the simulator does) plus the runtime-specific transport knobs."""
 
     #: Seconds between gossip rounds at each replica.
     gossip_period: float = 0.05
-    #: Ack-based destination deltas instead of full state (Section 10.4).
-    delta_gossip: bool = False
-    #: With delta gossip, full-state fallback every this-many sends per peer.
-    full_state_interval: int = 8
-    #: Advert/pull checkpoint gossip (bounded steady-state payload).
-    advert_gossip: bool = False
-    #: With advert gossip, max retained values per transfer chunk.
-    checkpoint_chunk: Optional[int] = None
-    #: Stability-driven checkpoint compaction policy; ``None`` disables.
-    compaction: Optional[CompactionPolicy] = None
-    #: Suffix-only response replay at the replicas.
-    incremental_replay: bool = False
-    #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore`.
-    fast_core: bool = False
-    #: Use the struct-of-arrays batch replay kernel
-    #: (:class:`~repro.algorithm.batchcore.BatchReplicaCore`) on top of the
-    #: fast core (requires ``fast_core=True``); per-frame gossip batches
-    #: merge through ``receive_gossip_batch``.
-    batch_replay: bool = False
     #: Bounded per-peer send queue length (messages). Full queue = slow peer:
     #: senders block (clients, pulls) or skip the round (gossip).
     send_queue_limit: int = 64
@@ -118,23 +98,12 @@ class NetParams:
     request_retry: float = 1.0
     #: Delay before a broken link re-dials its peer.
     reconnect_delay: float = 0.05
-    #: Unified replica feature configuration: when given, its replica-level
-    #: fields replace the loose per-feature fields above, so one
-    #: :class:`~repro.config.ReplicaConfig` threads through every harness.
-    #: The simulator-only fields (``batch_gossip``, ``compaction_interval``)
-    #: are ignored here, as documented on :mod:`repro.config`.
-    replica: InitVar[Optional[ReplicaConfig]] = None
+    #: Replica features.  The simulator-only fields (``batch_gossip``,
+    #: ``compaction_interval``) are ignored here, as documented on
+    #: :mod:`repro.config`; only a single compaction policy is accepted.
+    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
 
-    def __post_init__(self, replica: Optional[ReplicaConfig] = None) -> None:
-        if replica is not None:
-            self.fast_core = replica.fast_core
-            self.batch_replay = replica.batch_replay
-            self.delta_gossip = replica.delta_gossip
-            self.full_state_interval = replica.full_state_interval
-            self.incremental_replay = replica.incremental_replay
-            self.compaction = replica.require_single_policy("NetParams")
-            self.advert_gossip = replica.advert_gossip
-            self.checkpoint_chunk = replica.checkpoint_chunk
+    def __post_init__(self) -> None:
         if self.gossip_period <= 0:
             raise ConfigurationError("gossip_period must be positive")
         if self.send_queue_limit < 1:
@@ -143,24 +112,7 @@ class NetParams:
             raise ConfigurationError("coalesce_limit must be at least 1")
         if self.request_retry <= 0:
             raise ConfigurationError("request_retry must be positive")
-        if self.full_state_interval < 1:
-            raise ConfigurationError("full_state_interval must be at least 1")
-
-    @property
-    def replica_config(self) -> ReplicaConfig:
-        """The replica-level slice of these parameters as the unified
-        :class:`~repro.config.ReplicaConfig` (the loose fields stay the
-        storage; this is the one object the runtime configures cores from)."""
-        return ReplicaConfig(
-            fast_core=self.fast_core,
-            batch_replay=self.batch_replay,
-            delta_gossip=self.delta_gossip,
-            full_state_interval=self.full_state_interval,
-            incremental_replay=self.incremental_replay,
-            compaction=self.compaction,
-            advert_gossip=self.advert_gossip,
-            checkpoint_chunk=self.checkpoint_chunk,
-        )
+        self.replica.require_single_policy("NetParams")
 
 
 @dataclass
@@ -522,7 +474,8 @@ class NetCluster:
     Usage (an event loop must be running — tests wrap in ``asyncio.run``)::
 
         cluster = NetCluster(Counter(), num_replicas=4, client_ids=("c0",),
-                             params=NetParams(delta_gossip=True), transport="tcp")
+                             transport="tcp",
+                             config=ReplicaConfig(delta_gossip=True))
         async with cluster:
             value = await cluster.submit("c0", Operator("add", (5,)))
             await cluster.quiesce()
@@ -546,8 +499,7 @@ class NetCluster:
         self.data_type = data_type
         self.params = params or NetParams()
         if config is not None:
-            # Overlay the unified replica configuration onto the transport
-            # parameters (same precedence as SimulationParams(replica=...)).
+            # The unified replica configuration replaces the params' own.
             self.params = replace(self.params, replica=config)
         if transport == "memory":
             self.transport = _MemoryTransport()
@@ -557,12 +509,12 @@ class NetCluster:
             raise ConfigurationError(f"unknown transport {transport!r}")
 
         self.replica_ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(num_replicas))
-        factory = core_factory(self.params.replica_config)
+        replica_config = self.params.replica
+        factory = replica_config.core_class()
         self.replicas: Dict[str, ReplicaCore] = {
             rid: factory(rid, self.replica_ids, data_type) for rid in self.replica_ids
         }
         self.compaction_ledger = CompactionLedger()
-        replica_config = self.params.replica_config
         for rid, core in self.replicas.items():
             replica_config.configure_core(core)
             core.on_compact = self.compaction_ledger.record
@@ -675,8 +627,7 @@ class NetCluster:
 
         A coalesced frame is one sender's wakeup worth of messages, so runs
         of gossip messages within it merge as a batch through
-        ``receive_gossip_batch`` (the batch kernel defers its order splices
-        across the run), and the post-merge sweep — stale NACKs, the
+        ``receive_gossip_batch``, and the post-merge sweep — stale NACKs, the
         ``do_it`` sweep, ready responses — runs once per frame instead of
         once per message.  Pull requests only generate transfers and never
         need the sweep, matching the previous per-message handling."""

@@ -20,11 +20,10 @@ The cluster exposes two usage styles:
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.algorithm.batchcore import core_factory
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
+from repro.algorithm.checkpoint import CompactionLedger
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.labels import label_min, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
@@ -198,99 +197,21 @@ class SimulationParams:
     #: every this-many time units (the repeated ``send_cr`` the paper allows,
     #: used to mask message loss and partitions).
     retransmit_interval: Optional[float] = None
-    #: Transmit destination-specific gossip deltas instead of full state
-    #: (Section 10.4, made ack-based; see :mod:`repro.algorithm.delta`).
-    delta_gossip: bool = False
-    #: With delta gossip, send a full-state message every this-many sends to
-    #: a peer (the crash-recovery fallback).
-    full_state_interval: int = 8
-    #: Replicas cache their last response replay and re-apply only the
-    #: changed suffix (values are unchanged; replay work drops).
-    incremental_replay: bool = False
-    #: Use the raw-speed replay/ordering core
-    #: (:class:`~repro.algorithm.fastcore.FastReplicaCore`) as the default
-    #: replica variant: interned labels/ids, bitset knowledge mirrors and an
-    #: epoch-tagged replay cache — execution-identical to the base core, just
-    #: faster.  Ignored when an explicit ``replica_factory`` is supplied.
-    fast_core: bool = False
-    #: Use the struct-of-arrays batch replay kernel
-    #: (:class:`~repro.algorithm.batchcore.BatchReplicaCore`) on top of the
-    #: fast core (requires ``fast_core=True``): deferred batch gossip
-    #: splices, a verified-solid compaction prefix and a prev-dependency
-    #: ready queue — execution-identical, faster still.
-    batch_replay: bool = False
-    #: Fast path: buffer gossip messages arriving at a replica within the
-    #: same simulation instant and run the post-merge work (``do_it`` sweep,
-    #: responses, stabilization tracking) once per instant instead of once
-    #: per message.
-    batch_gossip: bool = False
-    #: Stability-driven checkpoint compaction policy; ``None`` disables it.
-    #: With a policy set, replicas fold their stable-everywhere prefix into a
-    #: checkpoint and drop the per-operation records — responses are
-    #: unchanged, tracked state stays bounded by the unstable suffix.
-    compaction: Optional[CompactionPolicy] = None
-    #: Advert/pull checkpoint gossip: full-state (and frontier-advancing
-    #: delta) messages carry a compact advert instead of the checkpoint
-    #: body; a replica behind the advertised frontier pulls the body on
-    #: demand.  Steady-state gossip payload becomes independent of the
-    #: history length (benchmark E11).
-    advert_gossip: bool = False
-    #: With advert gossip, the maximum retained values per checkpoint
-    #: transfer chunk (``None`` = one transfer message).
-    checkpoint_chunk: Optional[int] = None
-    #: With compaction enabled, additionally force a compaction sweep on
-    #: every replica at this simulated-time interval (ignoring the policy's
-    #: ``min_batch`` amortization gate).  ``None`` leaves compaction purely
-    #: opportunistic (after gossip merges).
-    compaction_interval: Optional[float] = None
-    #: Unified replica feature configuration: when given, its fields replace
-    #: the loose per-feature fields above (``SimulationParams(df=2.0,
-    #: replica=ReplicaConfig(fast_core=True, ...))``), so one
+    #: Replica features (the fast core, gossip modes, compaction, and the
+    #: simulator-only ``batch_gossip`` / ``compaction_interval``): one
     #: :class:`~repro.config.ReplicaConfig` threads through every harness.
-    replica: InitVar[Optional[ReplicaConfig]] = None
+    #: Only a single compaction policy is accepted here; per-shard mappings
+    #: resolve at the sharded entry points.
+    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
 
-    def __post_init__(self, replica: Optional[ReplicaConfig] = None) -> None:
-        if replica is not None:
-            for name, value in replica.as_dict().items():
-                setattr(self, name, value)
+    def __post_init__(self) -> None:
         if self.request_fanout < 1:
             raise ConfigurationError("request_fanout must be at least 1")
         if self.frontend_policy not in ("affinity", "round_robin", "random"):
             raise ConfigurationError(f"unknown frontend policy {self.frontend_policy!r}")
         if self.gossip_period <= 0:
             raise ConfigurationError("gossip_period must be positive")
-        if self.full_state_interval < 1:
-            raise ConfigurationError("full_state_interval must be at least 1")
-        if self.compaction_interval is not None:
-            if self.compaction is None:
-                raise ConfigurationError("compaction_interval requires a compaction policy")
-            if self.compaction_interval <= 0:
-                raise ConfigurationError("compaction_interval must be positive")
-        if self.checkpoint_chunk is not None and self.checkpoint_chunk < 1:
-            raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
-        if self.compaction is not None and not isinstance(self.compaction, CompactionPolicy):
-            raise ConfigurationError(
-                "SimulationParams.compaction takes a single CompactionPolicy; "
-                "per-shard mappings resolve at the sharded entry points"
-            )
-
-    @property
-    def replica_config(self) -> ReplicaConfig:
-        """The replica-level slice of these parameters as the unified
-        :class:`~repro.config.ReplicaConfig` (the loose fields stay the
-        storage; this is the one object the harnesses configure cores from)."""
-        return ReplicaConfig(
-            fast_core=self.fast_core,
-            batch_replay=self.batch_replay,
-            delta_gossip=self.delta_gossip,
-            full_state_interval=self.full_state_interval,
-            incremental_replay=self.incremental_replay,
-            compaction=self.compaction,
-            advert_gossip=self.advert_gossip,
-            checkpoint_chunk=self.checkpoint_chunk,
-            batch_gossip=self.batch_gossip,
-            compaction_interval=self.compaction_interval,
-        )
+        self.replica.require_single_policy("SimulationParams")
 
 
 class SimulatedCluster:
@@ -328,8 +249,8 @@ class SimulatedCluster:
         )
 
         self.replica_ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(num_replicas))
-        replica_config = self.params.replica_config
-        factory = replica_factory or core_factory(replica_config)
+        replica_config = self.params.replica
+        factory = replica_factory or replica_config.core_class()
         self.replicas: Dict[str, ReplicaCore] = {
             rid: factory(rid, self.replica_ids, data_type) for rid in self.replica_ids
         }
@@ -398,10 +319,10 @@ class SimulatedCluster:
             if self.params.gossip_stagger and len(self.replica_ids) > 1:
                 offset = (index / len(self.replica_ids)) * self.params.gossip_period
             self.simulator.schedule(offset + self.params.gossip_period, self._gossip_tick(rid))
-        if self.params.compaction_interval is not None:
+        if self.params.replica.compaction_interval is not None:
             for rid in self.replica_ids:
                 self.simulator.schedule(
-                    self.params.compaction_interval, self._compaction_tick(rid)
+                    self.params.replica.compaction_interval, self._compaction_tick(rid)
                 )
         self.metrics.started_at = self.simulator.now
 
@@ -421,7 +342,7 @@ class SimulatedCluster:
                 return
             if replica not in self._crashed:
                 self.replicas[replica].maybe_compact(force=True)
-            self.simulator.schedule(self.params.compaction_interval, tick)
+            self.simulator.schedule(self.params.replica.compaction_interval, tick)
 
         return tick
 
@@ -847,7 +768,7 @@ class SimulatedCluster:
             else:
                 lo, hi = self.gossip_lag_bounds
                 self.gossip_lag_bounds = (min(lo, lag), max(hi, lag))
-        if self.params.batch_gossip:
+        if self.params.replica.batch_gossip:
             # Fast path: coalesce every arrival at this instant and process
             # the batch once.  Same-instant events run FIFO, so the flush
             # scheduled at zero delay runs after the remaining deliveries of
@@ -893,9 +814,8 @@ class SimulatedCluster:
         if destination in self._crashed:
             return
         core = self.replicas[destination]
-        # One call for the whole coalesced batch: the batch kernel defers
-        # its order splices across it; every other variant runs the same
-        # sequential per-message merge as before.
+        # One call for the whole coalesced batch (a sequential per-message
+        # merge); the post-merge sweep below then runs once per batch.
         core.receive_gossip_batch(batch)
         for pull in core.take_pending_pulls():
             self._send_pull(destination, pull)

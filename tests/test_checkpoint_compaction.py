@@ -31,6 +31,7 @@ from repro.algorithm.messages import RequestMessage
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.service.frontend import ShardedFrontend
@@ -105,9 +106,9 @@ class TestOpIdSummary:
         with pytest.raises(ConfigurationError):
             CompactionPolicy(value_retention=-1)
         with pytest.raises(ConfigurationError):
-            SimulationParams(compaction_interval=1.0)  # interval without policy
+            ReplicaConfig(compaction_interval=1.0)  # interval without policy
         with pytest.raises(ConfigurationError):
-            SimulationParams(compaction=CompactionPolicy(), compaction_interval=0.0)
+            ReplicaConfig(compaction=CompactionPolicy(), compaction_interval=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -503,8 +504,11 @@ def build_system(compaction, factory=None, delta=False, data_type=None, users=No
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
-        delta_gossip=delta, full_state_interval=5,
-        compaction=CompactionPolicy(min_batch=1) if compaction else None,
+        config=ReplicaConfig(
+            delta_gossip=delta,
+            full_state_interval=5,
+            compaction=CompactionPolicy(min_batch=1) if compaction else None,
+        ),
     )
 
 
@@ -585,7 +589,7 @@ class TestLockstepEquivalence:
     def test_invariants_hold_at_every_step_with_compaction(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1),
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1)),
         )
         gen = OperationIdGenerator("alice")
         rng = random.Random(1)
@@ -613,7 +617,7 @@ class TestLockstepEquivalence:
 
         system = AlgorithmSystem(
             RegisterType(), ["r1", "r2"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1),
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1)),
         )
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
@@ -631,13 +635,13 @@ class TestLockstepEquivalence:
 # --------------------------------------------------------------------------- #
 
 
-def sim_params(compaction, **overrides):
-    kwargs = dict(df=1.0, dg=1.0, gossip_period=2.0)
-    kwargs.update(overrides)
+def sim_params(compaction, delta=False, **overrides):
+    replica = ReplicaConfig(delta_gossip=delta)
     if compaction:
-        kwargs.setdefault("compaction", CompactionPolicy(min_batch=4))
-        kwargs.setdefault("compaction_interval", 8.0)
-    return SimulationParams(**kwargs)
+        replica = ReplicaConfig(
+            delta_gossip=delta, compaction=CompactionPolicy(min_batch=4), compaction_interval=8.0
+        )
+    return SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, replica=replica, **overrides)
 
 
 class TestSimulatedCompaction:
@@ -646,7 +650,7 @@ class TestSimulatedCompaction:
         def run(compaction):
             cluster = SimulatedCluster(
                 RegisterType(), 3, ["c0", "c1"],
-                params=sim_params(compaction, delta_gossip=delta), seed=9,
+                params=sim_params(compaction, delta=delta), seed=9,
             )
             spec = WorkloadSpec(
                 operations_per_client=40, mean_interarrival=0.5,
@@ -670,7 +674,7 @@ class TestSimulatedCompaction:
         """A replica crashes (volatile) while the cluster has compacted, the
         epoch bumps, and recovery rebuilds from the persisted checkpoint plus
         catch-up gossip; a strict read then sees every increment."""
-        params = sim_params(True, delta_gossip=True, retransmit_interval=4.0)
+        params = sim_params(True, delta=True, retransmit_interval=4.0)
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=2)
         for _ in range(30):
             cluster.execute("c0", CounterType.increment())
@@ -694,8 +698,10 @@ class TestSimulatedCompaction:
         params = sim_params(True)
         params = SimulationParams(
             df=1.0, dg=1.0, gossip_period=2.0,
-            compaction=CompactionPolicy(min_batch=10_000),
-            compaction_interval=5.0,
+            replica=ReplicaConfig(
+                compaction=CompactionPolicy(min_batch=10_000),
+                compaction_interval=5.0,
+            ),
         )
         cluster = SimulatedCluster(CounterType(), 2, ["c0"], params=params, seed=0)
         for _ in range(10):
@@ -715,7 +721,9 @@ class TestServiceLayerCompaction:
         frontend = ShardedFrontend(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["c0"],
-            compaction={frontend_shard: policy for frontend_shard in ("s0",)},
+            config=ReplicaConfig(
+                compaction={frontend_shard: policy for frontend_shard in ("s0",)},
+            ),
         )
         s0_cores = frontend.systems["s0"].replicas.values()
         s1_cores = frontend.systems["s1"].replicas.values()
@@ -745,16 +753,18 @@ class TestServiceLayerCompaction:
                 assert intervals <= len(frontend.client_ids)
 
     def test_sharded_cluster_accepts_per_shard_disable(self):
-        """Mapping a shard to ``None`` disables compaction there even when
-        the base params carry a policy plus an interval timer."""
-        params = SimulationParams(
-            compaction=CompactionPolicy(min_batch=1), compaction_interval=5.0
+        """Mapping a shard to ``None`` disables compaction there (and drops
+        the interval timer with it) while the other shards compact."""
+        config = ReplicaConfig(
+            compaction={"s0": None, "s1": CompactionPolicy(min_batch=1)},
+            compaction_interval=5.0,
         )
         cluster = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["c0"], params=params, seed=0,
-            compaction={"s0": None},
+            client_ids=["c0"], config=config, seed=0,
         )
+        assert cluster.shards["s0"].params.replica.compaction_interval is None
+        assert cluster.shards["s1"].params.replica.compaction_interval == 5.0
         assert all(core.compaction is None for core in cluster.shards["s0"].replicas.values())
         assert all(core.compaction is not None for core in cluster.shards["s1"].replicas.values())
 
@@ -763,7 +773,10 @@ class TestServiceLayerCompaction:
             cluster = ShardedCluster(
                 CounterType(), num_shards=2, replicas_per_shard=2,
                 client_ids=["c0", "c1"], seed=6,
-                compaction=CompactionPolicy(min_batch=2) if compaction else None,
+                config=ReplicaConfig(
+                    batch_gossip=True,
+                    compaction=CompactionPolicy(min_batch=2) if compaction else None,
+                ),
             )
             spec = KeyedWorkloadSpec(
                 operations_per_client=20, mean_interarrival=0.5,

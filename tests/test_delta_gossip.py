@@ -18,6 +18,7 @@ from repro.algorithm.messages import RequestMessage
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, RegisterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
@@ -31,7 +32,7 @@ def build_system(delta: bool, full_state_interval: int = 5,
                  replica_ids=("r1", "r2", "r3"), clients=("alice", "bob")):
     return AlgorithmSystem(
         CounterType(), list(replica_ids), list(clients),
-        delta_gossip=delta, full_state_interval=full_state_interval,
+        config=ReplicaConfig(delta_gossip=delta, full_state_interval=full_state_interval),
     )
 
 
@@ -107,7 +108,7 @@ class TestDeltaInvariants:
 
     def test_simulation_relation_holds_with_delta(self):
         system = AlgorithmSystem(RegisterType(), ["r1", "r2"], ["alice"],
-                                 delta_gossip=True, full_state_interval=3)
+                                 config=ReplicaConfig(delta_gossip=True, full_state_interval=3))
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
         rng = random.Random(2)
@@ -257,8 +258,11 @@ class TestDeltaMechanics:
 class TestDeltaInSimulation:
     def run_cluster(self, delta: bool, batch: bool = False, seed: int = 7):
         params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                                  delta_gossip=delta, full_state_interval=8,
-                                  batch_gossip=batch)
+                                  replica=ReplicaConfig(
+                                      delta_gossip=delta,
+                                      full_state_interval=8,
+                                      batch_gossip=batch,
+                                  ))
         cluster = SimulatedCluster(CounterType(), 4, ["c0", "c1"],
                                    params=params, seed=seed)
         spec = WorkloadSpec(operations_per_client=15, mean_interarrival=1.0,
@@ -282,7 +286,7 @@ class TestDeltaInSimulation:
 
     def test_cluster_crash_recovery_with_delta(self):
         params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                                  delta_gossip=True, full_state_interval=4)
+                                  replica=ReplicaConfig(delta_gossip=True, full_state_interval=4))
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=11)
         for _ in range(6):
             cluster.execute("c0", CounterType.increment())

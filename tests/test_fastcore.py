@@ -28,6 +28,7 @@ from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.labels import label_sort_key
 from repro.common import INFINITY
+from repro.config import ReplicaConfig
 from repro.conformance import (
     ScenarioOutcome,
     ScenarioSpec,
@@ -80,7 +81,8 @@ DATA_TYPES = {
 def run_cluster(data_type_name, config, fast):
     type_factory, mix = DATA_TYPES[data_type_name]
     params = SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0, fast_core=fast, **CONFIGS[config]
+        df=1.0, dg=1.0, gossip_period=2.0,
+        replica=ReplicaConfig(fast_core=fast, **CONFIGS[config]),
     )
     cluster = SimulatedCluster(
         type_factory(), 3, ["c1", "c2"], params=params, seed=11
@@ -153,12 +155,14 @@ class TestSeededTwins:
                 df=1.0,
                 dg=1.0,
                 gossip_period=2.0,
-                delta_gossip=True,
-                incremental_replay=True,
-                batch_gossip=True,
-                fast_core=fast,
-                compaction=CompactionPolicy(min_batch=8, value_retention=64),
-                compaction_interval=10.0,
+                replica=ReplicaConfig(
+                    delta_gossip=True,
+                    incremental_replay=True,
+                    batch_gossip=True,
+                    fast_core=fast,
+                    compaction=CompactionPolicy(min_batch=8, value_retention=64),
+                    compaction_interval=10.0,
+                ),
             )
             cluster = ShardedCluster(
                 CounterType(),
@@ -194,9 +198,10 @@ class TestConformanceCorpusReplay:
     def test_fast_core_reproduces_corpus_vector(self, path):
         doc = loads_vector(path.read_text(encoding="utf-8"), str(path))
         spec = ScenarioSpec.from_doc(doc["scenario"])
-        assert not spec.params.fast_core, "corpus must be generated by the base core"
+        assert not spec.params.replica.fast_core, "corpus must be generated by the base core"
+        fast_replica = dataclasses.replace(spec.params.replica, fast_core=True)
         fast_spec = dataclasses.replace(
-            spec, params=dataclasses.replace(spec.params, fast_core=True)
+            spec, params=dataclasses.replace(spec.params, replica=fast_replica)
         )
         expected = ScenarioOutcome.from_doc(doc["expected"])
         observed = collect_outcome(run_scenario(fast_spec))

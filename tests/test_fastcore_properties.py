@@ -28,6 +28,7 @@ from repro.algorithm.fastcore import FastReplicaCore, _iter_interval_diff
 from repro.algorithm.labels import Label, label_sort_key
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import INFINITY, OperationId, OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 
@@ -128,7 +129,7 @@ def drive_random_system(seed, steps, compaction=False):
         list(REPLICAS),
         ["alice", "bob"],
         replica_factory=FastReplicaCore,
-        compaction=CompactionPolicy(min_batch=1) if compaction else None,
+        config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1) if compaction else None),
     )
     rng = random.Random(seed)
     generators = {c: OperationIdGenerator(c) for c in ("alice", "bob")}

@@ -17,19 +17,19 @@ import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import ConfigurationError
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster, NetParams
 from repro.verification.serializability import check_recorded_trace
 
-FAST = dict(gossip_period=0.01, delta_gossip=True, fast_core=True)
+FAST = ReplicaConfig(delta_gossip=True, fast_core=True)
 
 
-def make_cluster(transport="memory", clients=("c0", "c1"), **overrides):
-    merged = dict(FAST)
-    merged.update(overrides)
+def make_cluster(transport="memory", clients=("c0", "c1"), config=FAST, **overrides):
     return NetCluster(
         CounterType(), num_replicas=3, client_ids=clients,
-        params=NetParams(**merged), transport=transport,
+        params=NetParams(gossip_period=0.01, **overrides), transport=transport,
+        config=config,
     )
 
 
@@ -53,7 +53,7 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             NetParams(request_retry=0.0)
         with pytest.raises(ConfigurationError):
-            NetParams(full_state_interval=0)
+            NetParams(replica=ReplicaConfig(full_state_interval=0))
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -131,12 +131,13 @@ class TestMemoryTransport:
 class TestCrashRecovery:
     def test_volatile_crash_and_recovery_converges(self):
         async def run():
-            params = dict(
-                FAST,
+            config = ReplicaConfig(
+                delta_gossip=True,
+                fast_core=True,
                 advert_gossip=True,
                 compaction=CompactionPolicy(min_batch=4, value_retention=64),
             )
-            async with make_cluster(**params) as cluster:
+            async with make_cluster(config=config) as cluster:
                 for _ in range(6):
                     await cluster.submit("c0", CounterType.increment())
                 await cluster.crash_replica("r1", volatile_memory=True)

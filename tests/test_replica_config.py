@@ -1,269 +1,169 @@
-"""Lockstep-twin tests for the unified :class:`ReplicaConfig`.
+"""Tests for the unified :class:`ReplicaConfig`.
 
-Every deployment entry point (:class:`AlgorithmSystem`,
+``ReplicaConfig`` is the one place a replica feature is declared.  Every
+deployment entry point (:class:`AlgorithmSystem`,
 :class:`SimulationParams`/:class:`SimulatedCluster`,
-:class:`ShardedFrontend`, :class:`ShardedCluster`, :class:`NetCluster`)
-accepts ``config=ReplicaConfig(...)`` alongside the deprecated loose
-feature kwargs.  These tests run each harness twice — once per spelling —
-on identical seeded workloads and assert the executions are
-indistinguishable, plus the shim semantics (one DeprecationWarning for
-legacy kwargs, ConfigurationError for passing both spellings).
+:class:`ShardedCluster`, :class:`ShardedFrontend`, :class:`NetCluster`)
+takes it — as ``config=``, or ``replica=`` on the parameter dataclasses —
+and must hand every replica core the class the config selects with each
+``configure_*`` switch applied.
 """
 
 import asyncio
-import random
 
 import pytest
 
-from repro.algorithm.batchcore import BatchReplicaCore
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.fastcore import FastReplicaCore
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
-from repro.common import ConfigurationError, OperationIdGenerator
-from repro.config import ReplicaConfig, reset_legacy_warnings
-from repro.core.operations import make_operation
+from repro.common import ConfigurationError
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster, NetParams
 from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 
-FEATURES = dict(
+POLICY = CompactionPolicy(min_batch=4, value_retention=64)
+CONFIG = ReplicaConfig(
     fast_core=True,
     delta_gossip=True,
     full_state_interval=4,
     incremental_replay=True,
-    compaction=CompactionPolicy(min_batch=4, value_retention=64),
+    compaction=POLICY,
     advert_gossip=True,
     checkpoint_chunk=3,
 )
-CONFIG = ReplicaConfig(**FEATURES)
+#: The reference replica with every switch off, and the production mix.
+CONFIGS = [ReplicaConfig(), CONFIG]
+MAPPING = ReplicaConfig(compaction={"s0": POLICY})
 
 
-def drive_system(system, seed=5, count=20):
-    rng = random.Random(seed)
-    gens = {cid: OperationIdGenerator(cid) for cid in system.client_ids}
-    for i in range(count):
-        client = system.client_ids[i % len(system.client_ids)]
-        system.request(make_operation(CounterType.increment(), gens[client].fresh()))
-        for _ in range(4):
-            system.random_step(rng)
-    system.drain(rng)
-    return (
-        sorted(((op.id, value) for op, value in system.trace.responses),
-               key=lambda kv: repr(kv[0])),
-        system.eventual_order(),
-    )
+def assert_configured(cores, config):
+    """Every core is of the configured class with every switch applied."""
+    cores = list(cores)
+    assert cores
+    for core in cores:
+        assert type(core) is config.core_class()
+        assert core.delta_gossip is config.delta_gossip
+        if config.delta_gossip:
+            assert core.full_state_interval == config.full_state_interval
+        assert core._incremental_replay is config.incremental_replay
+        assert core.compaction == config.compaction
+        assert core.advert_gossip is config.advert_gossip
+        assert core.checkpoint_chunk == config.checkpoint_chunk
 
 
-class TestAlgorithmSystemTwin:
-    def test_config_is_execution_identical_to_legacy_kwargs(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy = AlgorithmSystem(
-                CounterType(), ["r1", "r2", "r3"], ["c0", "c1"], **FEATURES
-            )
-        modern = AlgorithmSystem(
-            CounterType(), ["r1", "r2", "r3"], ["c0", "c1"], config=CONFIG
+def test_core_class_is_the_two_way_choice():
+    assert ReplicaConfig().core_class() is ReplicaCore
+    assert ReplicaConfig(fast_core=True).core_class() is FastReplicaCore
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["reference", "production"])
+class TestEntryPointsConfigureEveryCore:
+    def test_algorithm_system(self, config):
+        system = AlgorithmSystem(CounterType(), ["r1", "r2", "r3"], ["c0"], config=config)
+        assert system.config is config
+        assert_configured(system.replicas.values(), config)
+
+    def test_simulated_cluster(self, config):
+        cluster = SimulatedCluster(
+            CounterType(), 3, ["c0"], params=SimulationParams(replica=config), seed=1
         )
-        assert drive_system(legacy) == drive_system(modern)
-        assert legacy.config == modern.config
+        assert_configured(cluster.replicas.values(), config)
+        _, value = cluster.execute("c0", CounterType.increment())
+        assert value == 1
 
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AlgorithmSystem(
-                CounterType(), ["r1", "r2"], ["c0"],
-                fast_core=True, config=CONFIG,
-            )
-
-
-class TestSimulatedClusterTwin:
-    def test_params_replica_overlay_is_execution_identical(self):
-        legacy = SimulatedCluster(
-            CounterType(), 3, ["c0", "c1"],
-            params=SimulationParams(**FEATURES), seed=9,
+    def test_sharded_cluster(self, config):
+        cluster = ShardedCluster(
+            CounterType(), num_shards=2, replicas_per_shard=2, config=config, seed=3
         )
-        modern = SimulatedCluster(
-            CounterType(), 3, ["c0", "c1"],
-            params=SimulationParams(replica=CONFIG), seed=9,
+        assert cluster.config is config
+        for shard in cluster.shards.values():
+            assert_configured(shard.replicas.values(), config)
+
+    def test_sharded_frontend(self, config):
+        frontend = ShardedFrontend(
+            CounterType(), num_shards=2, replicas_per_shard=2, config=config
         )
-        assert legacy.params.replica_config == modern.params.replica_config
+        for system in frontend.systems.values():
+            assert_configured(system.replicas.values(), config)
 
-        def drive(cluster):
-            ops = []
-            for i in range(24):
-                ops.append(cluster.submit(
-                    ["c0", "c1"][i % 2], CounterType.increment()))
-                cluster.run(0.7)
-            cluster.run_until_idle()
-            return [cluster.responded[op.id] for op in ops], cluster.eventual_order()
-
-        assert drive(legacy) == drive(modern)
-
-
-class TestShardedClusterTwin:
-    def test_config_kwarg_is_execution_identical(self):
-        sharded_features = dict(FEATURES)
-        legacy = ShardedCluster(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["c0", "c1"],
-            params=SimulationParams(batch_gossip=True, **sharded_features),
-            seed=15,
-        )
-        modern = ShardedCluster(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["c0", "c1"],
-            params=SimulationParams(batch_gossip=True),
-            config=ReplicaConfig(batch_gossip=True, **FEATURES),
-            seed=15,
-        )
-        assert legacy.config == modern.config
-
-        def drive(cluster):
-            keys = [f"k{i}" for i in range(6)]
-            ops = []
-            for i in range(24):
-                ops.append(cluster.submit(["c0", "c1"][i % 2],
-                                          keys[i % len(keys)],
-                                          CounterType.increment()))
-                cluster.run(0.7)
-            cluster.run_until_idle()
-            return (
-                [cluster.responded[op.id] for op in ops],
-                {s: cluster.shards[s].eventual_order() for s in cluster.shard_ids},
-            )
-
-        assert drive(legacy) == drive(modern)
-
-
-class TestShardedFrontendTwin:
-    def test_config_kwarg_is_execution_identical(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy = ShardedFrontend(
-                CounterType(), num_shards=2, replicas_per_shard=2,
-                client_ids=("c0", "c1"), **FEATURES,
-            )
-        modern = ShardedFrontend(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=("c0", "c1"), config=CONFIG,
-        )
-        assert legacy.config == modern.config
-
-        def drive(frontend):
-            rng = random.Random(21)
-            keys = [f"k{i}" for i in range(6)]
-            ops = []
-            for i in range(20):
-                ops.append(frontend.request(("c0", "c1")[i % 2],
-                                            keys[i % len(keys)],
-                                            CounterType.increment()))
-                frontend.run_random(rng, 5)
-            frontend.drain(rng)
-            return (
-                [frontend.responded[op.id] for op in ops],
-                frontend.eventual_orders(),
-            )
-
-        assert drive(legacy) == drive(modern)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedFrontend(CounterType(), fast_core=True, config=CONFIG)
-
-
-class TestNetClusterTwin:
-    def test_config_overlay_matches_legacy_params(self):
-        legacy = NetParams(**FEATURES)
-        modern = NetParams(replica=CONFIG)
-        assert legacy == modern
-        assert legacy.replica_config == CONFIG
-
-        async def values(make_cluster):
-            cluster = make_cluster()
+    def test_net_cluster(self, config):
+        async def run():
+            cluster = NetCluster(CounterType(), 2, ("c0",), config=config)
+            assert_configured(cluster.replicas.values(), config)
             async with cluster:
-                out = []
-                for i in range(6):
-                    out.append(await cluster.submit("c0", CounterType.increment()))
+                values = [await cluster.submit("c0", CounterType.increment()) for _ in range(4)]
                 await cluster.quiesce()
-                return out
+            return values
 
-        legacy_values = asyncio.run(values(
-            lambda: NetCluster(CounterType(), 2, ("c0",), params=NetParams(**FEATURES))
-        ))
-        modern_values = asyncio.run(values(
-            lambda: NetCluster(CounterType(), 2, ("c0",), config=CONFIG)
-        ))
-        assert legacy_values == modern_values == [1, 2, 3, 4, 5, 6]
+        assert asyncio.run(run()) == [1, 2, 3, 4]
+
+
+class TestParamsCarryOneReplicaConfig:
+    def test_params_default_to_the_reference_config(self):
+        assert SimulationParams().replica == ReplicaConfig()
+        assert NetParams().replica == ReplicaConfig()
+
+    def test_net_cluster_config_replaces_params_replica(self):
+        cluster = NetCluster(
+            CounterType(), 2, ("c0",),
+            params=NetParams(gossip_period=0.2, replica=ReplicaConfig(delta_gossip=True)),
+            config=CONFIG,
+        )
+        assert cluster.params.gossip_period == 0.2
+        assert cluster.params.replica is CONFIG
+        assert_configured(cluster.replicas.values(), CONFIG)
+
+    def test_sharded_cluster_defaults_to_params_replica(self):
+        replica = ReplicaConfig(batch_gossip=True, delta_gossip=True)
+        cluster = ShardedCluster(
+            CounterType(), num_shards=2, replicas_per_shard=2,
+            params=SimulationParams(replica=replica),
+        )
+        assert cluster.config is replica
+        for shard in cluster.shards.values():
+            assert shard.params.replica == replica
+
+
+class TestPerShardCompaction:
+    def test_mapping_resolves_per_shard(self):
+        cluster = ShardedCluster(
+            CounterType(), num_shards=2, replicas_per_shard=2, config=MAPPING
+        )
+        frontend = ShardedFrontend(
+            CounterType(), num_shards=2, replicas_per_shard=2, config=MAPPING
+        )
+        for cores in (
+            {s: c.replicas.values() for s, c in cluster.shards.items()},
+            {s: system.replicas.values() for s, system in frontend.systems.items()},
+        ):
+            assert all(core.compaction == POLICY for core in cores["s0"])
+            assert all(core.compaction is None for core in cores["s1"])
 
     def test_mapping_compaction_rejected_outside_sharded_entry_points(self):
         with pytest.raises(ConfigurationError):
-            NetParams(replica=ReplicaConfig(
-                compaction={"s0": CompactionPolicy(min_batch=4, value_retention=8)}
-            ))
-
-
-class TestOneWarningPerLegacyCall:
-    def test_exactly_one_deprecation_warning(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning) as caught:
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            delta_gossip=True, incremental_replay=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
-    def test_shim_warns_once_per_process(self):
-        # Repeated legacy constructions through the same entry point nag
-        # once, not per call (the fuzzer builds thousands of clusters).
-        reset_legacy_warnings()
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            for _ in range(3):
-                AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                                delta_gossip=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-        # A different entry point still gets its own (single) warning.
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            ShardedFrontend(CounterType(), fast_core=True)
-            ShardedFrontend(CounterType(), fast_core=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-        # Resetting the registry re-arms the warning.
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            delta_gossip=True)
-
-
-class TestIncoherentCombinations:
-    def test_batch_replay_requires_fast_core(self):
-        with pytest.raises(ConfigurationError, match="batch_replay.*fast_core"):
-            ReplicaConfig(batch_replay=True)
-        with pytest.raises(ConfigurationError, match="batch_replay.*fast_core"):
-            ReplicaConfig(batch_replay=True, fast_core=False)
-        # The coherent combination constructs fine.
-        ReplicaConfig(batch_replay=True, fast_core=True)
-
-    def test_rejection_surfaces_through_every_entry_point(self):
+            NetParams(replica=MAPPING)
         with pytest.raises(ConfigurationError):
-            SimulatedCluster(
-                CounterType(), 3, ["c0"],
-                params=SimulationParams(batch_replay=True), seed=1,
-            )
+            NetCluster(CounterType(), 2, ("c0",), config=MAPPING)
         with pytest.raises(ConfigurationError):
-            NetParams(batch_replay=True).replica_config
+            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"], config=MAPPING)
         with pytest.raises(ConfigurationError):
-            ShardedFrontend(CounterType(), batch_replay=True)
-        with pytest.raises(ConfigurationError):
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            batch_replay=True)
+            SimulationParams(replica=MAPPING)
 
-    def test_batch_replay_selects_batch_core(self):
-        cluster = SimulatedCluster(
-            CounterType(), 3, ["c0"],
-            params=SimulationParams(fast_core=True, batch_replay=True), seed=1,
-        )
-        assert all(isinstance(r, BatchReplicaCore) for r in cluster.replicas.values())
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(full_state_interval=0),
+            dict(checkpoint_chunk=0),
+            dict(compaction_interval=1.0),
+            dict(compaction=POLICY, compaction_interval=0.0),
+        ],
+    )
+    def test_incoherent_fields_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            ReplicaConfig(**fields)

@@ -21,6 +21,7 @@ from repro.algorithm.messages import RequestMessage, ResponseMessage
 from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import OperationIdGenerator, StaleValueError
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.service.frontend import ShardedFrontend
@@ -162,7 +163,7 @@ class TestSystemNackPath:
     def test_retransmit_after_eviction_fails_explicitly(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1, value_retention=0),
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1, value_retention=0)),
         )
         gen = OperationIdGenerator("alice")
         op = make_operation(CounterType.increment(), gen.fresh())
@@ -217,8 +218,10 @@ class TestSimulatedNackSurfacing:
         # the primary must act as a redirect, steering later retransmits to
         # the remaining replicas until every one has NACKed.
         params = SimulationParams(
-            compaction=CompactionPolicy(min_batch=1, value_retention=0),
-            compaction_interval=2.0,
+            replica=ReplicaConfig(
+                compaction=CompactionPolicy(min_batch=1, value_retention=0),
+                compaction_interval=2.0,
+            ),
             retransmit_interval=4.0,
         )
         cluster = SimulatedCluster(CounterType(), 2, ["c0"], params=params, seed=7)
@@ -243,7 +246,7 @@ class TestSimulatedNackSurfacing:
         frontend = ShardedFrontend(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["alice"],
-            compaction=CompactionPolicy(min_batch=1, value_retention=0),
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1, value_retention=0)),
         )
         op = frontend.request("alice", "hot-key", CounterType.increment())
         shard = frontend.shard_of_operation(op.id)

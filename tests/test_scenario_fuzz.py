@@ -49,6 +49,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.conformance.generate import (
     random_fault_dicts,
     random_keyed_workload_fields,
@@ -179,14 +180,19 @@ def test_fuzz_corpus_is_mostly_loss_free():
 COMPACTION_SEEDS = FUZZ_SEEDS[: max(10, len(FUZZ_SEEDS) // 2)]
 
 
+def _with_replica(params, **changes):
+    """*params* with the given replica features changed."""
+    return dataclasses.replace(params, replica=dataclasses.replace(params.replica, **changes))
+
+
 def _aggressive_compaction(rng, params):
-    return dataclasses.replace(
+    return _with_replica(
         params, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
     )
 
 
 def _advert_pull(rng, params):
-    return dataclasses.replace(
+    return _with_replica(
         params,
         compaction=CompactionPolicy(min_batch=1),
         compaction_interval=1.0,
@@ -254,35 +260,21 @@ def test_random_scenarios_with_advert_pull_gossip(seed, delta_gossip):
 
 
 def _fast_core(rng, params):
-    return dataclasses.replace(params, fast_core=True)
+    return _with_replica(params, fast_core=True)
 
 
 def _fast_core_advert(rng, params):
-    return dataclasses.replace(_advert_pull(rng, params), fast_core=True)
-
-
-def _batch_core(rng, params):
-    return dataclasses.replace(params, fast_core=True, batch_replay=True)
-
-
-def _batch_core_advert(rng, params):
-    return dataclasses.replace(
-        _advert_pull(rng, params), fast_core=True, batch_replay=True
-    )
+    return _with_replica(_advert_pull(rng, params), fast_core=True)
 
 
 _CORE_TWEAK_KINDS = {
     _fast_core: "fast",
     _fast_core_advert: "fast-advert",
-    _batch_core: "batch",
-    _batch_core_advert: "batch-advert",
 }
 
 
 @pytest.mark.parametrize(
-    "tweak",
-    [_fast_core, _fast_core_advert, _batch_core, _batch_core_advert],
-    ids=["plain", "advert-compact", "batch", "batch-advert-compact"],
+    "tweak", [_fast_core, _fast_core_advert], ids=["plain", "advert-compact"]
 )
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
 @pytest.mark.parametrize("seed", COMPACTION_SEEDS)
@@ -290,12 +282,9 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     """The corpus seeds re-run on :class:`FastReplicaCore` — plain, and
     layered over the aggressive-compaction + advert/pull tweak (the paths
     where the interned tables are remapped by folds and the bitset knowledge
-    maps absorb interval summaries) — and again on the batch replay kernel
-    (:class:`BatchReplicaCore`), whose deferred gossip splices and memoized
-    compaction prefix ride the same paths.  Both cores are optimizations,
-    not semantic changes, so every oracle must hold exactly as for the base
+    maps absorb interval summaries).  The fast core is an optimization, not
+    a semantic change, so every oracle must hold exactly as for the base
     core."""
-    from repro.algorithm.batchcore import BatchReplicaCore
     from repro.algorithm.fastcore import FastReplicaCore
 
     mode = "delta" if delta_gossip else "full"
@@ -303,15 +292,12 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     spec = random_sim_spec(
         f"fuzz-{kind}-{mode}-{seed:03d}", seed, delta_gossip, params_tweak=tweak
     )
-    assert spec.params.fast_core
+    assert spec.params.replica.fast_core
     run, _results = run_checked(spec)
     expected = spec.workload["operations_per_client"] * len(spec.clients)
     assert run.workload_result.submitted == expected
-    wanted = BatchReplicaCore if spec.params.batch_replay else FastReplicaCore
     for replica in run.clusters[UNSHARDED].replicas.values():
-        assert isinstance(replica, wanted)
-        if not spec.params.batch_replay:
-            assert not isinstance(replica, BatchReplicaCore)
+        assert type(replica) is FastReplicaCore
 
 
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
@@ -377,10 +363,12 @@ def test_random_reshard_under_faults_preserves_guarantees(seed):
         replicas_per_shard=3,
         client_ids=[f"c{i}" for i in range(rng.randint(1, 2))],
         params=SimulationParams(
-            batch_gossip=True,
             retransmit_interval=4.0,
-            delta_gossip=rng.random() < 0.5,
-            full_state_interval=rng.choice([4, 8]),
+            replica=ReplicaConfig(
+                batch_gossip=True,
+                delta_gossip=rng.random() < 0.5,
+                full_state_interval=rng.choice([4, 8]),
+            ),
         ),
         seed=seed * 5 + 1,
     )

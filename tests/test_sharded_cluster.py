@@ -43,9 +43,9 @@ class TestShardedClusterBasics:
         assert all(shard.simulator is cluster.simulator for shard in cluster.shards.values())
 
     def test_batched_gossip_is_default(self):
-        assert make_cluster().params.batch_gossip is True
-        explicit = make_cluster(params=SimulationParams(batch_gossip=False))
-        assert explicit.params.batch_gossip is False
+        assert make_cluster().params.replica.batch_gossip is True
+        explicit = make_cluster(params=SimulationParams())
+        assert explicit.params.replica.batch_gossip is False
 
     def test_operation_ids_unique_across_shards(self):
         cluster = make_cluster(num_shards=4)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.messages import PullRequestMessage
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import (
     CORRUPTION_MARKER,
@@ -204,7 +205,8 @@ class TestDuplicateMessages:
 
     @staticmethod
     def _run_twin(duplicate):
-        params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, delta_gossip=True)
+        params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
+                                  replica=ReplicaConfig(delta_gossip=True))
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=11)
         if duplicate:
             DuplicateMessages(start=0.0, end=60.0, probability=1.0).install(cluster)
@@ -239,8 +241,7 @@ def _checkpointed_cluster(seed=5):
         df=1.0,
         dg=1.0,
         gossip_period=1.0,
-        compaction=CompactionPolicy(min_batch=1),
-        compaction_interval=1.0,
+        replica=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0),
     )
     cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=seed)
     for _ in range(4):
@@ -318,9 +319,11 @@ class TestCorruptTransfers:
             gossip_period=1.0,
             frontend_policy="round_robin",
             retransmit_interval=4.0,
-            compaction=CompactionPolicy(min_batch=1),
-            compaction_interval=1.0,
-            advert_gossip=True,
+            replica=ReplicaConfig(
+                compaction=CompactionPolicy(min_batch=1),
+                compaction_interval=1.0,
+                advert_gossip=True,
+            ),
         )
         cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=params, seed=2)
         (
