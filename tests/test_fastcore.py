@@ -13,7 +13,9 @@ different execution.  This suite enforces the contract three ways:
 * **Conformance-corpus replay**: every checked-in vector re-runs with
   ``fast_core=True`` and must match the recorded outcome byte for byte
   (responses, witness, per-replica digests) — the corpus was generated by
-  the base core, so any divergence is a fast-core bug by construction.
+  the base core, so any divergence is a fast-core bug by construction.  The
+  corpus re-runs a second time with incremental replay switched the other
+  way, and one vector per mode re-runs over the wire-codec runtime.
 * **Mirror audits**: after a twin run, every fast replica's interned
   mirrors (bitsets, done index, undone set, packed-key backbone) are checked
   against its authoritative sets.
@@ -50,6 +52,9 @@ from repro.sim.workload import (
 
 VECTOR_DIR = Path(__file__).resolve().parent / "vectors"
 VECTOR_FILES = sorted(VECTOR_DIR.glob("*.json"))
+
+#: One vector per generator mode for the (slower) net-runtime arm.
+NET_SAMPLED = sorted(p for p in VECTOR_FILES if p.name.endswith("_003.json"))
 
 #: The deployment matrix every twin pair runs under.
 CONFIGS = {
@@ -193,17 +198,44 @@ class TestSeededTwins:
         fast.check_invariants()
 
 
+def _overlay(doc, toggle_replay=False, **changes):
+    """The vector's scenario with the given replica features changed (and
+    incremental replay flipped if *toggle_replay*)."""
+    spec = ScenarioSpec.from_doc(doc["scenario"])
+    assert not spec.params.replica.fast_core, "corpus must be generated by the base core"
+    if toggle_replay:
+        changes["incremental_replay"] = not spec.params.replica.incremental_replay
+    replica = dataclasses.replace(spec.params.replica, **changes)
+    return dataclasses.replace(spec, params=dataclasses.replace(spec.params, replica=replica))
+
+
+def _assert_reproduces(path, runtime="sim", toggle_replay=False, **changes):
+    doc = loads_vector(path.read_text(encoding="utf-8"), str(path))
+    spec = _overlay(doc, toggle_replay, **changes)
+    expected = ScenarioOutcome.from_doc(doc["expected"])
+    run = run_scenario(spec, runtime=runtime)
+    for cluster in run.clusters.values():
+        for core in cluster.replicas.values():
+            assert type(core) is FastReplicaCore
+    mismatches = compare_outcomes(expected, collect_outcome(run))
+    assert mismatches == [], f"{path.name}: {mismatches}"
+
+
 class TestConformanceCorpusReplay:
     @pytest.mark.parametrize("path", VECTOR_FILES, ids=lambda p: p.stem)
     def test_fast_core_reproduces_corpus_vector(self, path):
-        doc = loads_vector(path.read_text(encoding="utf-8"), str(path))
-        spec = ScenarioSpec.from_doc(doc["scenario"])
-        assert not spec.params.replica.fast_core, "corpus must be generated by the base core"
-        fast_replica = dataclasses.replace(spec.params.replica, fast_core=True)
-        fast_spec = dataclasses.replace(
-            spec, params=dataclasses.replace(spec.params, replica=fast_replica)
-        )
-        expected = ScenarioOutcome.from_doc(doc["expected"])
-        observed = collect_outcome(run_scenario(fast_spec))
-        mismatches = compare_outcomes(expected, observed)
-        assert mismatches == [], f"{path.name}: {mismatches}"
+        _assert_reproduces(path, fast_core=True)
+
+    @pytest.mark.parametrize("path", VECTOR_FILES, ids=lambda p: p.stem)
+    def test_fast_core_with_incremental_replay_toggled_reproduces_corpus_vector(self, path):
+        # Incremental replay caches the last response replay and re-applies
+        # only the changed suffix.  Each vector re-runs with the cache
+        # switched the other way from how it was recorded: the cache must be
+        # invisible in both directions.
+        _assert_reproduces(path, toggle_replay=True, fast_core=True)
+
+    @pytest.mark.parametrize("path", NET_SAMPLED, ids=lambda p: p.stem)
+    def test_fast_core_reproduces_vector_over_net(self, path):
+        # Same vectors, but every message crosses the binary wire codec —
+        # exercises the coalesced receive_gossip_batch frame path too.
+        _assert_reproduces(path, runtime="net", fast_core=True)

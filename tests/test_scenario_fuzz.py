@@ -267,14 +267,28 @@ def _fast_core_advert(rng, params):
     return _with_replica(_advert_pull(rng, params), fast_core=True)
 
 
+def _fast_core_replay(rng, params):
+    return _with_replica(
+        params, fast_core=True, incremental_replay=True, batch_gossip=True
+    )
+
+
+def _fast_core_replay_advert(rng, params):
+    return _fast_core_replay(rng, _advert_pull(rng, params))
+
+
 _CORE_TWEAK_KINDS = {
     _fast_core: "fast",
     _fast_core_advert: "fast-advert",
+    _fast_core_replay: "fast-replay",
+    _fast_core_replay_advert: "fast-replay-advert",
 }
 
 
 @pytest.mark.parametrize(
-    "tweak", [_fast_core, _fast_core_advert], ids=["plain", "advert-compact"]
+    "tweak",
+    [_fast_core, _fast_core_advert, _fast_core_replay, _fast_core_replay_advert],
+    ids=["plain", "advert-compact", "replay-batch-gossip", "replay-batch-gossip-advert-compact"],
 )
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
 @pytest.mark.parametrize("seed", COMPACTION_SEEDS)
@@ -282,8 +296,11 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     """The corpus seeds re-run on :class:`FastReplicaCore` — plain, and
     layered over the aggressive-compaction + advert/pull tweak (the paths
     where the interned tables are remapped by folds and the bitset knowledge
-    maps absorb interval summaries).  The fast core is an optimization, not
-    a semantic change, so every oracle must hold exactly as for the base
+    maps absorb interval summaries) — and again with incremental replay and
+    same-instant gossip batching forced on, the production setting, where
+    every merge goes through ``receive_gossip_batch`` and responses replay
+    only the changed suffix.  The fast core is an optimization, not a
+    semantic change, so every oracle must hold exactly as for the base
     core."""
     from repro.algorithm.fastcore import FastReplicaCore
 
@@ -298,6 +315,8 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     assert run.workload_result.submitted == expected
     for replica in run.clusters[UNSHARDED].replicas.values():
         assert type(replica) is FastReplicaCore
+        if spec.params.replica.incremental_replay:
+            assert replica._incremental_replay
 
 
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
@@ -317,6 +336,32 @@ def test_random_scenarios_with_extended_fault_mix(seed, delta_gossip):
         params_tweak=_advert_pull,
         extended=True,
     )
+    _check_adversarial(spec)
+
+
+@pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
+@pytest.mark.parametrize("seed", COMPACTION_SEEDS)
+def test_random_scenarios_with_fast_core_under_extended_fault_mix(seed, delta_gossip):
+    """The extended adversary mix again, on the production core with
+    incremental replay and gossip batching: duplicated and reordered
+    messages hit the fast core's idempotent merge paths, and a rejected
+    transfer must leave its interned tables untouched."""
+    from repro.algorithm.fastcore import FastReplicaCore
+
+    mode = "delta" if delta_gossip else "full"
+    spec = random_sim_spec(
+        f"fuzz-adversarial-fast-{mode}-{seed:03d}",
+        seed,
+        delta_gossip,
+        params_tweak=_fast_core_replay_advert,
+        extended=True,
+    )
+    run = _check_adversarial(spec)
+    for replica in run.clusters[UNSHARDED].replicas.values():
+        assert type(replica) is FastReplicaCore
+
+
+def _check_adversarial(spec):
     run, _results = run_checked(spec)
     cluster = run.clusters[UNSHARDED]
     corrupted = cluster.network.counters.corrupted
@@ -325,6 +370,7 @@ def test_random_scenarios_with_extended_fault_mix(seed, delta_gossip):
     # converse need not hold (a tampered chunk superseded mid-transfer never
     # completes), so rejections is bounded by the tamper count.
     assert rejections <= corrupted
+    return run
 
 
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
@@ -335,6 +381,24 @@ def test_random_sharded_scenarios_preserve_guarantees(seed, delta_gossip):
     mode = "delta" if delta_gossip else "full"
     spec = random_sharded_spec(f"fuzz-sharded-{mode}-{seed:03d}", seed, delta_gossip)
     run_checked(spec)
+
+
+@pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_sharded_scenarios_with_fast_core(seed, delta_gossip):
+    """The sharded scenarios again, every shard on the production core with
+    incremental replay and gossip batching."""
+    from repro.algorithm.fastcore import FastReplicaCore
+
+    mode = "delta" if delta_gossip else "full"
+    spec = random_sharded_spec(f"fuzz-sharded-fast-{mode}-{seed:03d}", seed, delta_gossip)
+    spec = dataclasses.replace(
+        spec, params=_fast_core_replay(None, spec.params)
+    )
+    run, _results = run_checked(spec)
+    for cluster in run.clusters.values():
+        for replica in cluster.replicas.values():
+            assert type(replica) is FastReplicaCore
 
 
 #: The reshard batch re-runs half the corpus (at least 8 seeds); nightly
